@@ -9,7 +9,6 @@ of locating the ground-state level crossings.
 
 from .eigensolver import EigenResult, NonConvergenceError, jacobi_eigenvalues
 from .model import (
-    AffineLevel,
     CriticalPoint,
     ModelParams,
     Spectrum,
@@ -23,35 +22,26 @@ from .spin_algebra import (
     Multiplet,
     OperatorMatrix,
     build_j2,
-    build_jx,
-    build_jy2,
     build_jz,
-    build_ladder,
-    commutator,
 )
 from .thermo import (
     N2ClosedForms,
     ThermalObservables,
     ceq_scaled_residual,
-    log_partition,
     n2_closed_forms,
     observables,
-    occupations,
     zero_t_c_star_lambda,
 )
 from .transitions import (
     CSV_HEADER,
     CeqSearchResult,
-    IsoEnergyPoint,
     JumpPoint,
     PeakEstimate,
     SweepTable,
     TrackedPeak,
     TrackingResult,
-    ceq_zero_t_coupling,
     detect_jumps,
     find_peaks,
-    iso_energy_curve,
     phase_diagram,
     qpt_from_ceq,
     track_peaks_to_zero_t,
@@ -64,13 +54,8 @@ __all__ = [
     "Multiplet",
     "OperatorMatrix",
     "build_jz",
-    "build_ladder",
-    "build_jx",
-    "build_jy2",
     "build_j2",
-    "commutator",
     "ModelParams",
-    "AffineLevel",
     "Spectrum",
     "CriticalPoint",
     "build_hamiltonian",
@@ -83,8 +68,6 @@ __all__ = [
     "jacobi_eigenvalues",
     "ThermalObservables",
     "N2ClosedForms",
-    "log_partition",
-    "occupations",
     "observables",
     "zero_t_c_star_lambda",
     "n2_closed_forms",
@@ -94,14 +77,11 @@ __all__ = [
     "TrackingResult",
     "JumpPoint",
     "CeqSearchResult",
-    "IsoEnergyPoint",
     "SweepTable",
     "CSV_HEADER",
     "find_peaks",
     "track_peaks_to_zero_t",
     "detect_jumps",
     "qpt_from_ceq",
-    "ceq_zero_t_coupling",
-    "iso_energy_curve",
     "phase_diagram",
 ]

@@ -19,7 +19,6 @@ from .spin_algebra import Multiplet, OperatorMatrix
 
 __all__ = [
     "ModelParams",
-    "AffineLevel",
     "Spectrum",
     "CriticalPoint",
     "build_hamiltonian",
@@ -31,8 +30,13 @@ __all__ = [
 
 # Relative tolerance for calling two level energies degenerate.  The
 # model's crossings sit at exact rationals, so this only has to absorb
-# float evaluation noise, not physics.
-DEGENERACY_RTOL = 1e-12
+# float evaluation noise, not physics: each level energy is one product
+# and one sum, and near the ground both terms share a sign, so two
+# levels that truly cross differ by a few ulp of |E0|.  It must stay
+# that tight because |E0| grows like N^2 while the level spacing near
+# the ground does not: at N = 3e5 real neighbours can sit only 8e-13*|E0|
+# apart.
+DEGENERACY_RTOL = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -48,61 +52,39 @@ class ModelParams:
             raise ValueError("e_gap must be positive")
 
 
-@dataclass(frozen=True)
-class AffineLevel:
-    """One eigenenergy intercept + slope*lam with its J_z label M."""
-
-    m: float
-    intercept: float
-    slope: float
-
-    def energy(self, lam: float) -> float:
-        return self.intercept + self.slope * lam
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The full set of affine levels, ordered by ascending M.
+    """The full set of affine levels as three arrays, ordered by ascending M.
 
-    Immutable; the coefficient arrays are cached once so repeated
-    thermodynamic evaluations stay cheap.
+    Level i has J_z label ``m_values[i]`` and energy
+    ``intercepts[i] + slopes[i]*lam``.  The arrays are copied to float and
+    frozen on construction, so a spectrum can be shared freely and
+    repeated thermodynamic evaluations stay cheap.
     """
 
-    levels: tuple[AffineLevel, ...]
+    m_values: np.ndarray
+    intercepts: np.ndarray
+    slopes: np.ndarray
 
     def __post_init__(self):
-        levels = tuple(self.levels)
-        if not levels:
+        arrays = [np.array(a, dtype=float) for a in (self.m_values, self.intercepts, self.slopes)]
+        if any(a.ndim != 1 for a in arrays):
+            raise ValueError("spectrum arrays must be one-dimensional")
+        if arrays[0].size == 0:
             raise ValueError("a spectrum needs at least one level")
-        object.__setattr__(self, "levels", levels)
-        m = np.array([lv.m for lv in levels])
-        intercepts = np.array([lv.intercept for lv in levels])
-        slopes = np.array([lv.slope for lv in levels])
-        for arr in (m, intercepts, slopes):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "_intercepts", intercepts)
-        object.__setattr__(self, "_slopes", slopes)
+        if any(a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("spectrum arrays must have equal length")
+        for name, a in zip(("m_values", "intercepts", "slopes"), arrays):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_particles(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return self._m
-
-    @property
-    def intercepts(self) -> np.ndarray:
-        return self._intercepts
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return self._slopes
+        return self.m_values.size - 1
 
     def energies(self, lam: float) -> np.ndarray:
         """All level energies at one coupling."""
-        return self._intercepts + self._slopes * lam
+        return self.intercepts + self.slopes * lam
 
 
 @dataclass(frozen=True)
@@ -141,12 +123,8 @@ def analytic_spectrum(m: Multiplet, e_gap: float = 1.0) -> Spectrum:
     """
     if not e_gap > 0:
         raise ValueError("e_gap must be positive")
-    j_sq = m.j * m.j
-    levels = tuple(
-        AffineLevel(m=float(mm), intercept=float(e_gap * mm), slope=float(mm * mm - j_sq))
-        for mm in m.m_values()
-    )
-    return Spectrum(levels)
+    ms = m.m_values()
+    return Spectrum(ms, e_gap * ms, ms * ms - m.j * m.j)
 
 
 def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
@@ -187,7 +165,7 @@ def ground_state_energy(s: Spectrum, lam: float) -> tuple[float, list[float]]:
     """Minimum level energy and the M values achieving it.
 
     Meaningful for lam >= 0 (the model's domain); levels within a
-    relative 1e-12 of the minimum count as degenerate.
+    relative DEGENERACY_RTOL of the minimum count as degenerate.
     """
     mask, e_min = _ground_mask(s, lam)
     return e_min, [float(x) for x in s.m_values[mask]]

@@ -2,9 +2,8 @@
 
 All matrices act in the ordered eigenbasis of the z component, quantum
 number M running from -J up to +J, with J = N/2 for N two-level
-particles.  Everything is kept real: the only imaginary operator in
-this basis is J_y itself, so its square is exposed instead, which is
-all the quadratic Casimir check needs.
+particles.  Only the two operators the Hamiltonian is built from are
+provided, J_z and the Casimir J^2; both are diagonal in this basis.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ __all__ = [
     "Multiplet",
     "OperatorMatrix",
     "build_jz",
-    "build_ladder",
-    "build_jx",
-    "build_jy2",
     "build_j2",
-    "commutator",
 ]
 
 
@@ -105,50 +100,6 @@ def build_jz(m: Multiplet) -> OperatorMatrix:
     return OperatorMatrix(np.diag(ms), ms)
 
 
-def build_ladder(m: Multiplet, sign: str) -> OperatorMatrix:
-    """Raising or lowering operator; ``sign`` is ``"raise"`` or ``"lower"``.
-
-    The raising operator sends |M> to sqrt(J(J+1) - M(M+1)) |M+1>.  In
-    the ascending basis that amplitude sits at row M+1, column M, one
-    place below the diagonal; the commutator [J_z, J_+] = +J_+ pins it
-    there.  The lowering operator is the transpose.
-    """
-    if sign not in ("raise", "lower"):
-        raise ValueError("sign must be 'raise' or 'lower'")
-    ms = m.m_values()
-    below = ms[:-1]
-    amps = np.sqrt(m.casimir - below * (below + 1.0))
-    plus = np.zeros((m.dim, m.dim))
-    rows = np.arange(1, m.dim)
-    plus[rows, rows - 1] = amps
-    return OperatorMatrix(plus if sign == "raise" else plus.T, ms)
-
-
-def build_jx(m: Multiplet) -> OperatorMatrix:
-    """x component (J_+ + J_-)/2, real symmetric tridiagonal."""
-    plus = build_ladder(m, "raise").entries
-    return OperatorMatrix((plus + plus.T) / 2.0, m.m_values())
-
-
-def build_jy2(m: Multiplet) -> OperatorMatrix:
-    """Square of the y component as a real matrix, -(J_+ - J_-)^2 / 4.
-
-    The product is symmetrized explicitly so the result is bit-exactly
-    symmetric rather than symmetric only up to matmul rounding.
-    """
-    plus = build_ladder(m, "raise").entries
-    diff = plus - plus.T
-    raw = -0.25 * (diff @ diff)
-    return OperatorMatrix((raw + raw.T) / 2.0, m.m_values())
-
-
 def build_j2(m: Multiplet) -> OperatorMatrix:
     """Quadratic Casimir J(J+1) times the identity."""
     return OperatorMatrix(m.casimir * np.eye(m.dim), m.m_values())
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """ab - ba; both operators must share one multiplet."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, a.m_values)

@@ -27,8 +27,6 @@ from .model import Spectrum
 __all__ = [
     "ThermalObservables",
     "N2ClosedForms",
-    "log_partition",
-    "occupations",
     "observables",
     "zero_t_c_star_lambda",
     "n2_closed_forms",
@@ -83,45 +81,6 @@ def _check_beta(beta: float) -> None:
         raise ValueError("beta must be non-negative")
 
 
-def _shifted_weights(s: Spectrum, beta: float, lam: float):
-    """Excitations d_i = e_i - e_min and their Boltzmann weights.
-
-    The shift keeps every exponent non-positive, so the weights live in
-    (0, 1] and their sum in [1, dim] no matter how large beta gets.
-    """
-    e = s.energies(lam)
-    e_min = float(e.min())
-    d = e - e_min
-    w = np.exp(-beta * d)
-    return d, w, float(w.sum()), e_min
-
-
-def log_partition(s: Spectrum, beta: float, lam: float) -> float:
-    """Log partition function ln sum_i exp(-beta*e_i(lam)).
-
-    Evaluated as -beta*e_min + ln sum_i exp(-beta*(e_i - e_min)), which
-    is finite for any beta*|e| representable as a float.
-
-    Examples
-    --------
-    >>> from su2qpt.spin_algebra import Multiplet
-    >>> from su2qpt.model import analytic_spectrum
-    >>> s = analytic_spectrum(Multiplet(4))
-    >>> log_partition(s, 0.0, 0.7) == math.log(5)
-    True
-    """
-    _check_beta(beta)
-    _, _, w_sum, e_min = _shifted_weights(s, beta, lam)
-    return -beta * e_min + math.log(w_sum)
-
-
-def occupations(s: Spectrum, beta: float, lam: float) -> np.ndarray:
-    """Boltzmann probability of each level, in basis order."""
-    _check_beta(beta)
-    _, w, w_sum, _ = _shifted_weights(s, beta, lam)
-    return w / w_sum
-
-
 def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     """Full set of canonical observables at one (beta, lam) point.
 
@@ -132,7 +91,14 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     that cannot go negative through cancellation.
     """
     _check_beta(beta)
-    d, w, w_sum, e_min = _shifted_weights(s, beta, lam)
+    # Excitations d_i = e_i - e_min and their Boltzmann weights.  The
+    # shift keeps every exponent non-positive, so the weights live in
+    # (0, 1] and their sum in [1, dim] no matter how large beta gets.
+    e = s.energies(lam)
+    e_min = float(e.min())
+    d = e - e_min
+    w = np.exp(-beta * d)
+    w_sum = float(w.sum())
     p = w / w_sum
     p.setflags(write=False)
     log_w_sum = math.log(w_sum)

@@ -27,15 +27,12 @@ __all__ = [
     "TrackingResult",
     "JumpPoint",
     "CeqSearchResult",
-    "IsoEnergyPoint",
     "SweepTable",
     "CSV_HEADER",
     "find_peaks",
     "track_peaks_to_zero_t",
     "detect_jumps",
     "qpt_from_ceq",
-    "ceq_zero_t_coupling",
-    "iso_energy_curve",
     "phase_diagram",
 ]
 
@@ -83,20 +80,6 @@ class CeqSearchResult:
     xi: float
     converged: bool
     residual: float
-
-
-@dataclass(frozen=True)
-class IsoEnergyPoint:
-    """One (beta, lam) point of a constant-mean-energy curve.
-
-    lam is None when the target energy is unattainable in the bracket at
-    this beta; multiple is True when more than one root was present and
-    the smallest was returned.
-    """
-
-    beta: float
-    lam: float | None
-    multiple: bool
 
 
 def _golden_min(f, a: float, b: float, xtol: float) -> float:
@@ -412,59 +395,6 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
         return CeqSearchResult(xi=float(grid[i]), converged=False, residual=float(vals[i]))
     xi = _golden_min(f, float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8)
     return CeqSearchResult(xi=float(xi), converged=True, residual=float(f(xi)))
-
-
-def ceq_zero_t_coupling() -> float:
-    """Infinite-beta reduction of the zero-variance condition: exactly 1.
-
-    After scaling by e^(-2*beta*xi), the only residual term that fails
-    to decay as beta grows is (xi - 1)^2, so the condition collapses to
-    its double root.  No floating-point search is involved.
-    """
-    return 1.0
-
-
-def iso_energy_curve(
-    s: Spectrum, target_energy: float, beta_grid, lambda_bracket, scan_points: int = 257
-) -> list[IsoEnergyPoint]:
-    """Coupling that holds <E> at a fixed target, per beta.
-
-    For each beta the bracket is scanned for sign changes of
-    <E> - target; the smallest root is bisected down to a coupling
-    resolution of 1e-12, and a multiplicity flag is set when more roots
-    exist.  A beta with no sign change yields a gap marker (lam None).
-    """
-    lo, hi = _check_interval(lambda_bracket)
-    if scan_points < 16:
-        raise ValueError("scan_points must be at least 16")
-    betas = [float(b) for b in beta_grid]
-    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("beta grid must be strictly increasing")
-
-    xs = np.linspace(lo, hi, scan_points)
-    points: list[IsoEnergyPoint] = []
-    for beta in betas:
-
-        def f(x: float) -> float:
-            return thermo.observables(s, beta, x).mean_energy - target_energy
-
-        fs = np.array([f(x) for x in xs])
-        cells: list[tuple[float, float]] = []
-        for i in range(len(xs) - 1):
-            if fs[i] == 0.0:
-                cells.append((float(xs[i]), float(xs[i])))
-            elif fs[i + 1] != 0.0 and (fs[i] < 0.0) != (fs[i + 1] < 0.0):
-                cells.append((float(xs[i]), float(xs[i + 1])))
-        if fs[-1] == 0.0:
-            cells.append((float(xs[-1]), float(xs[-1])))
-
-        if not cells:
-            points.append(IsoEnergyPoint(beta=beta, lam=None, multiple=False))
-            continue
-        a, b = cells[0]
-        lam = a if a == b else _bisect_root(f, a, b, xtol=1e-12)
-        points.append(IsoEnergyPoint(beta=beta, lam=float(lam), multiple=len(cells) > 1))
-    return points
 
 
 CSV_HEADER = "beta,lambda,log_z,mean_energy,entropy,c_star_beta,c_star_lambda,specific_heat"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,45 @@ def test_unknown_subcommand_is_usage_error(capsys):
     rc, _, err = run(["frobnicate"], capsys)
     assert rc == 1
     assert "invalid choice" in err
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    paths = [str(REPO / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath serves only the acceptance suite, which cmd_validate imports
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, su2qpt.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_benchmark_tracer_hooks_resolve(tmp_path):
+    # the benchmark's tracer wraps public functions by the names it looks
+    # up; a deleted name it hooks makes it fail before the command runs
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace_child.py"), str(spans),
+         "spectrum", "--n", "4"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert "model.analytic_spectrum" in names
 
 
 class TestSpectrum:

@@ -3,7 +3,7 @@ import pytest
 
 from su2qpt.eigensolver import NonConvergenceError, jacobi_eigenvalues
 from su2qpt.model import ModelParams, analytic_spectrum, build_hamiltonian
-from su2qpt.spin_algebra import Multiplet, build_jx
+from su2qpt.spin_algebra import Multiplet, OperatorMatrix
 
 
 def test_two_by_two_frozen():
@@ -30,11 +30,14 @@ def test_matches_analytic_spectrum(lam):
 
 
 def test_accepts_operator_matrix_and_plain_array():
-    jx = build_jx(Multiplet(4))
-    a = jacobi_eigenvalues(jx).values
-    b = jacobi_eigenvalues(jx.entries.copy()).values
-    # J_x is unitarily equivalent to J_z, so the spectrum is -J..J
-    assert np.allclose(a, [-2.0, -1.0, 0.0, 1.0, 2.0], rtol=0, atol=1e-12)
+    tri = OperatorMatrix(
+        np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]), np.array([-1.0, 0.0, 1.0])
+    )
+    a = jacobi_eigenvalues(tri).values
+    b = jacobi_eigenvalues(tri.entries.copy()).values
+    # the 3x3 tridiagonal Toeplitz matrix has eigenvalues 2 - sqrt2, 2, 2 + sqrt2
+    root2 = np.sqrt(2.0)
+    assert np.allclose(a, [2.0 - root2, 2.0, 2.0 + root2], rtol=0, atol=1e-12)
     assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 

@@ -12,11 +12,23 @@ from su2qpt.model import (
     ground_slope,
     ground_state_energy,
 )
-from su2qpt.spin_algebra import Multiplet, build_jz, commutator
+from su2qpt.spin_algebra import Multiplet, build_jz
 
 
 def pairs(s: Spectrum):
-    return [(lv.intercept, lv.slope) for lv in s.levels]
+    return list(zip(s.intercepts.tolist(), s.slopes.tolist()))
+
+
+def per_level_reference(m: Multiplet, e_gap: float):
+    """The closed form evaluated one level at a time, in Python floats."""
+    j_sq = m.j * m.j
+    ms = [float(mm) for mm in m.m_values()]
+    return ms, [e_gap * mm for mm in ms], [mm * mm - j_sq for mm in ms]
+
+
+def same_bits(got: np.ndarray, want: list) -> bool:
+    want = np.array(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_analytic_pairs_n2():
@@ -62,6 +74,41 @@ def test_e_gap_scales_intercepts_only():
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 1001])
+@pytest.mark.parametrize("e_gap", [1.0, 0.37, 2.5])
+def test_arrays_match_per_level_loop_bitwise(n, e_gap):
+    mult = Multiplet(n)
+    s = analytic_spectrum(mult, e_gap)
+    ms, intercepts, slopes = per_level_reference(mult, e_gap)
+    assert same_bits(s.m_values, ms)
+    assert same_bits(s.intercepts, intercepts)
+    assert same_bits(s.slopes, slopes)
+    assert s.n_particles == n
+
+
+def test_spectrum_rejects_malformed_arrays():
+    with pytest.raises(ValueError):
+        Spectrum([], [], [])
+    with pytest.raises(ValueError):
+        Spectrum([-0.5, 0.5], [-1.0, 1.0], [0.0])
+    with pytest.raises(ValueError):
+        Spectrum([[-0.5, 0.5]], [[-1.0, 1.0]], [[0.0, 0.0]])
+
+
+def test_spectrum_arrays_are_frozen_copies():
+    ms = np.array([-0.5, 0.5])
+    intercepts = np.array([-1.0, 1.0])
+    slopes = np.array([0.0, 0.0])
+    s = Spectrum(ms, intercepts, slopes)
+    for arr in (s.m_values, s.intercepts, s.slopes):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    ms[0] = intercepts[0] = slopes[0] = 9.0
+    assert np.array_equal(s.m_values, [-0.5, 0.5])
+    assert np.array_equal(s.intercepts, [-1.0, 1.0])
+    assert np.array_equal(s.slopes, [0.0, 0.0])
+
+
 def test_spectrum_accessors():
     s = analytic_spectrum(Multiplet(4))
     assert s.n_particles == 4
@@ -80,9 +127,9 @@ def test_hamiltonian_pieces_commute_exactly():
     m = Multiplet(6)
     h0 = build_hamiltonian(ModelParams(multiplet=m, lam=0.0))
     h = build_hamiltonian(ModelParams(multiplet=m, lam=0.8))
-    comm = commutator(h0, h)
-    assert np.array_equal(comm.entries, np.zeros((7, 7)))
-    assert np.array_equal(commutator(h, build_jz(m)).entries, np.zeros((7, 7)))
+    a, b, jz = h0.entries, h.entries, build_jz(m).entries
+    assert np.array_equal(a @ b - b @ a, np.zeros((7, 7)))
+    assert np.array_equal(b @ jz - jz @ b, np.zeros((7, 7)))
 
 
 @given(
@@ -127,10 +174,10 @@ def test_critical_couplings_crossing_pairs():
     s = analytic_spectrum(Multiplet(8))
     ms = list(s.m_values)
     for cp in cps:
-        lo = s.levels[ms.index(cp.lower_m)]
-        hi = s.levels[ms.index(cp.upper_m)]
-        assert abs(lo.energy(cp.lambda_c) - hi.energy(cp.lambda_c)) <= 1e-12
-        assert lo.slope != hi.slope  # genuine crossing, not a tangency
+        lo, hi = ms.index(cp.lower_m), ms.index(cp.upper_m)
+        e = s.energies(cp.lambda_c)
+        assert abs(e[lo] - e[hi]) <= 1e-12
+        assert s.slopes[lo] != s.slopes[hi]  # genuine crossing, not a tangency
 
 
 def test_critical_couplings_scale_with_gap():
@@ -161,6 +208,23 @@ def test_ground_slope_examples():
     assert ground_slope(s, 2.0) == -4.0
     assert ground_slope(s, 1 / 3) == -1.5
     assert ground_slope(s, 1.0) == -3.5
+
+
+def test_every_crossing_is_twofold_degenerate():
+    for n in range(2, 65):
+        mult = Multiplet(n)
+        s = analytic_spectrum(mult)
+        for cp in critical_couplings(mult):
+            assert ground_state_energy(s, cp.lambda_c)[1] == [cp.lower_m, cp.upper_m]
+
+
+def test_no_spurious_degeneracy_at_large_n():
+    # the M = 0 level sits only 8e-13*|E0| above the unique ground level
+    # M = -1 here, yet thousands of ulp away
+    s = analytic_spectrum(Multiplet(300000))
+    lam = 0.98221818181818177
+    assert ground_state_energy(s, lam)[1] == [-1.0]
+    assert ground_slope(s, lam) == -22499999999.0
 
 
 @given(

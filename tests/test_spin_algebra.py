@@ -1,23 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from su2qpt.spin_algebra import (
-    Multiplet,
-    OperatorMatrix,
-    build_j2,
-    build_jx,
-    build_jy2,
-    build_jz,
-    build_ladder,
-    commutator,
-)
+from su2qpt.spin_algebra import Multiplet, OperatorMatrix, build_j2, build_jz
 
-SQ2 = math.sqrt(2.0)
-SQ6 = math.sqrt(6.0)
+
+def raising(m: Multiplet) -> np.ndarray:
+    """J_+ in the ascending-M basis: amplitude sqrt(J(J+1) - M(M+1)) one
+    place below the diagonal, the position [J_z, J_+] = +J_+ pins."""
+    below = m.m_values()[:-1]
+    return np.diag(np.sqrt(m.casimir - below * (below + 1.0)), k=-1)
 
 
 def test_multiplet_basics():
@@ -48,43 +41,6 @@ def test_jz_is_diagonal_and_frozen():
         jz.entries[0, 0] = 99.0
 
 
-def test_ladder_amplitudes_frozen():
-    # raising amplitudes sqrt(J(J+1) - M(M+1)) for M = -J..J-1
-    plus4 = build_ladder(Multiplet(4), "raise").entries
-    rows = np.arange(1, 5)
-    assert np.allclose(plus4[rows, rows - 1], [2.0, SQ6, SQ6, 2.0], rtol=0, atol=0)
-    assert np.count_nonzero(plus4) == 4
-
-    plus2 = build_ladder(Multiplet(2), "raise").entries
-    assert np.allclose(plus2[[1, 2], [0, 1]], [SQ2, SQ2], rtol=0, atol=0)
-
-    plus1 = build_ladder(Multiplet(1), "raise").entries
-    assert plus1[1, 0] == 1.0
-
-    minus4 = build_ladder(Multiplet(4), "lower").entries
-    assert np.array_equal(minus4, plus4.T)
-
-
-def test_ladder_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        build_ladder(Multiplet(2), "up")
-
-
-def test_jx_frozen_n2():
-    jx = build_jx(Multiplet(2))
-    h = SQ2 / 2.0
-    want = np.array([[0.0, h, 0.0], [h, 0.0, h], [0.0, h, 0.0]])
-    assert np.array_equal(jx.entries, want)
-    assert jx.is_symmetric()
-
-
-def test_jy2_symmetric_and_positive():
-    jy2 = build_jy2(Multiplet(8))
-    assert jy2.is_symmetric()
-    evals = np.linalg.eigvalsh(jy2.entries)
-    assert evals.min() >= -1e-12
-
-
 def test_j2_is_casimir_identity_matrix():
     m = Multiplet(3)
     assert np.array_equal(build_j2(m).entries, m.casimir * np.eye(4))
@@ -93,27 +49,27 @@ def test_j2_is_casimir_identity_matrix():
 @given(st.integers(min_value=1, max_value=64))
 def test_ladder_commutators(n):
     m = Multiplet(n)
-    jz = build_jz(m)
-    plus = build_ladder(m, "raise")
-    minus = build_ladder(m, "lower")
+    jz = build_jz(m).entries
+    plus = raising(m)
+    minus = plus.T
 
     # m_r*amp and m_c*amp round separately inside the matmul, so the
     # identity holds entrywise to ~1e-13 at N=64, not bitwise
-    assert np.allclose(commutator(jz, plus).entries, plus.entries, rtol=0, atol=1e-12)
-    assert np.allclose(commutator(jz, minus).entries, -minus.entries, rtol=0, atol=1e-12)
-
-    comm = commutator(plus, minus).entries
-    assert np.allclose(comm, 2.0 * jz.entries, rtol=0, atol=1e-12)
+    assert np.allclose(jz @ plus - plus @ jz, plus, rtol=0, atol=1e-12)
+    assert np.allclose(jz @ minus - minus @ jz, -minus, rtol=0, atol=1e-12)
+    assert np.allclose(plus @ minus - minus @ plus, 2.0 * jz, rtol=0, atol=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=64))
 def test_casimir_from_components(n):
     m = Multiplet(n)
-    jx = build_jx(m).entries
+    plus = raising(m)
+    jx = (plus + plus.T) / 2.0
+    diff = plus - plus.T
+    jy2 = -0.25 * (diff @ diff)
     jz = build_jz(m).entries
-    total = jx @ jx + build_jy2(m).entries + jz @ jz
-    want = m.casimir * np.eye(m.dim)
-    assert np.allclose(total, want, rtol=0, atol=1e-12)
+    total = jx @ jx + jy2 + jz @ jz
+    assert np.allclose(total, build_j2(m).entries, rtol=0, atol=1e-12)
 
 
 def test_operator_matrix_validation():
@@ -126,6 +82,3 @@ def test_operator_matrix_validation():
     assert asym.dim == 2
 
 
-def test_commutator_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        commutator(build_jz(Multiplet(2)), build_jz(Multiplet(3)))

@@ -6,14 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from su2qpt.model import AffineLevel, Spectrum, analytic_spectrum, critical_couplings, ground_slope
+from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_slope
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import (
     ceq_scaled_residual,
-    log_partition,
     n2_closed_forms,
     observables,
-    occupations,
     zero_t_c_star_lambda,
 )
 
@@ -25,22 +23,22 @@ S8 = analytic_spectrum(Multiplet(8))
 def test_log_partition_frozen_values():
     # N=2 at xi=1: Z = e^-1 + 2e
     want = math.log(math.exp(-1.0) + 2.0 * math.exp(1.0))
-    assert math.isclose(log_partition(S2, 1.0, 1.0), want, rel_tol=1e-14)
+    assert math.isclose(observables(S2, 1.0, 1.0).log_z, want, rel_tol=1e-14)
     # infinite temperature: every level weighs 1
-    assert log_partition(S4, 0.0, 0.7) == math.log(5.0)
+    assert observables(S4, 0.0, 0.7).log_z == math.log(5.0)
     # deep in the lam=0 phase the ground term is everything
-    assert log_partition(S4, 200.0, 0.0) == 400.0
+    assert observables(S4, 200.0, 0.0).log_z == 400.0
 
 
 def test_negative_beta_rejected():
     with pytest.raises(ValueError):
-        log_partition(S4, -0.1, 0.0)
+        observables(S4, -0.1, 0.0)
     with pytest.raises(ValueError):
         observables(S4, -1.0, 0.5)
 
 
 def test_occupations_module_level():
-    p = occupations(S4, 0.0, 1.3)
+    p = observables(S4, 0.0, 1.3).occupations
     assert np.allclose(p, np.full(5, 0.2), rtol=0, atol=1e-15)
     p2 = observables(S4, 2.0, 0.6).occupations
     assert abs(float(p2.sum()) - 1.0) <= 1e-12
@@ -77,12 +75,7 @@ def test_specific_heat_identity_bitwise():
 )
 def test_shift_invariance(n, beta, lam, shift):
     s = analytic_spectrum(Multiplet(n))
-    shifted = Spectrum(
-        tuple(
-            AffineLevel(m=lv.m, intercept=lv.intercept + shift, slope=lv.slope)
-            for lv in s.levels
-        )
-    )
+    shifted = Spectrum(s.m_values, s.intercepts + shift, s.slopes)
     a = observables(s, beta, lam)
     b = observables(shifted, beta, lam)
 

@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from su2qpt.model import AffineLevel, Spectrum, analytic_spectrum, critical_couplings
+from su2qpt.model import analytic_spectrum, critical_couplings
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
     CSV_HEADER,
-    ceq_zero_t_coupling,
     detect_jumps,
     find_peaks,
-    iso_energy_curve,
     phase_diagram,
     qpt_from_ceq,
     track_peaks_to_zero_t,
@@ -199,63 +197,6 @@ class TestCeqSearch:
             qpt_from_ceq(200.0, (0.5, 1.5), grid_points=8)
         with pytest.raises(ValueError):
             qpt_from_ceq(0.0, (0.5, 1.5))
-
-    def test_zero_t_limit_is_exact(self):
-        assert ceq_zero_t_coupling() == 1.0
-
-
-class TestIsoEnergy:
-    def test_infinite_temperature_example(self):
-        # at beta = 0 every level weighs 1/3, so <E> = -xi/3
-        (pt,) = iso_energy_curve(S2, -0.2, [0.0], (0.0, 2.0))
-        assert abs(pt.lam - 0.6) <= 1e-9
-        assert not pt.multiple
-
-    def test_zero_t_limit_example(self):
-        (pt,) = iso_energy_curve(S4, -2.5, [300.0], (0.0, 1.4))
-        assert abs(pt.lam - 0.5) <= 1e-9
-
-    def test_unattainable_energy_yields_gap_marker(self):
-        (pt,) = iso_energy_curve(S4, -10.0, [300.0], (0.0, 1.0))
-        assert pt.lam is None
-        assert not pt.multiple
-
-    def test_returned_points_hit_the_target(self):
-        pts = iso_energy_curve(S4, -2.2, [5.0, 20.0, 110.0], (0.0, 1.4))
-        assert [p.beta for p in pts] == [5.0, 20.0, 110.0]
-        for p in pts:
-            assert abs(observables(S4, p.beta, p.lam).mean_energy - (-2.2)) <= 1e-9
-
-    def test_multiple_roots_flagged_smallest_returned(self):
-        # two synthetic levels crossing at 0.5: the mean energy rises,
-        # tops out past the crossing and falls again, so a small positive
-        # target is hit twice at moderate beta
-        syn = Spectrum(
-            (
-                AffineLevel(m=-0.5, intercept=-1.0, slope=2.0),
-                AffineLevel(m=0.5, intercept=0.0, slope=0.0),
-            )
-        )
-
-        def excess(lam):
-            return observables(syn, 3.0, lam).mean_energy - 0.05
-
-        assert excess(0.7) > 0.0 > excess(1.0)  # a second root exists past 0.7
-        pts = iso_energy_curve(syn, 0.05, [3.0, 30.0], (0.0, 1.0))
-        first, second = pts
-        assert first.multiple
-        assert first.lam < 0.7
-        assert abs(observables(syn, 3.0, first.lam).mean_energy - 0.05) <= 1e-9
-        # colder: the bump flattens below the target, nothing to hit
-        assert second.lam is None
-
-    def test_beta_grid_validation(self):
-        with pytest.raises(ValueError):
-            iso_energy_curve(S4, -2.2, [5.0, 5.0], (0.0, 1.4))
-        with pytest.raises(ValueError):
-            iso_energy_curve(S4, -2.2, [5.0], (1.4, 0.0))
-        with pytest.raises(ValueError):
-            iso_energy_curve(S4, -2.2, [5.0], (0.0, 1.4), scan_points=4)
 
 
 class TestPhaseDiagram:
