@@ -19,7 +19,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
     quick: bool = False
-    config_values: dict = field(default_factory=dict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +258,6 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         method=method,
         fmt=fmt,
         out=pick("out", ns.out),
-        config_values=cfg,
     )
 
 
@@ -339,19 +337,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     s = model.analytic_spectrum(Multiplet(cfg.n_particles), cfg.e_gap)
     table = transitions.phase_diagram(s, cfg.beta, cfg.lambda_grid)
     if cfg.fmt == "json":
-        payload = [
-            {
-                "beta": r.beta,
-                "lambda": r.lam,
-                "log_z": r.log_z,
-                "mean_energy": r.mean_energy,
-                "entropy": r.entropy,
-                "c_star_beta": r.c_star_beta,
-                "c_star_lambda": r.c_star_lambda,
-                "specific_heat": r.specific_heat,
-            }
-            for r in table.rows
-        ]
+        payload = [dict(zip(table.COLUMNS, row)) for row in table.values.tolist()]
         _emit(_dump_json(payload), cfg.out)
     else:
         _emit(table.csv_text(), cfg.out)
@@ -385,15 +371,18 @@ def cmd_zero_t(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
+def _window(cfg: RunConfig, default_window, default_points: int) -> tuple[tuple, int]:
+    """A route's scan window and density: --lambda-grid's ends and size, else the defaults."""
+    if cfg.lambda_grid is None:
+        return default_window, default_points
+    window = (float(cfg.lambda_grid[0]), float(cfg.lambda_grid[-1]))
+    return window, max(len(cfg.lambda_grid), 16)
+
+
 def _peaks_block(cfg: RunConfig, s, crit) -> dict:
     lams_c = [cp.lambda_c for cp in crit]
-    if cfg.lambda_grid is not None:
-        window = (float(cfg.lambda_grid[0]), float(cfg.lambda_grid[-1]))
-        grid_points = max(len(cfg.lambda_grid), 16)
-    else:
-        # default window brackets every crossing with a 20% margin
-        window = (0.8 * min(lams_c), 1.2 * max(lams_c))
-        grid_points = 1024
+    # the default window brackets every crossing with a 20% margin
+    window, grid_points = _window(cfg, (0.8 * min(lams_c), 1.2 * max(lams_c)), 1024)
     schedule = [70.0, 90.0, 110.0] if cfg.beta is None else [float(b) for b in cfg.beta]
     result = transitions.track_peaks_to_zero_t(
         s, schedule, window, grid_points, critical_points=crit
@@ -421,12 +410,7 @@ def _peaks_block(cfg: RunConfig, s, crit) -> dict:
 
 def _jumps_block(cfg: RunConfig, s, crit) -> dict:
     lams_c = [cp.lambda_c for cp in crit]
-    if cfg.lambda_grid is not None:
-        window = (float(cfg.lambda_grid[0]), float(cfg.lambda_grid[-1]))
-        grid_points = max(len(cfg.lambda_grid), 16)
-    else:
-        window = (0.0, 1.2 * max(lams_c))
-        grid_points = 512
+    window, grid_points = _window(cfg, (0.0, 1.2 * max(lams_c)), 512)
     jumps = transitions.detect_jumps(s, window, grid_points)
     plateaus = []
     if jumps:
@@ -455,11 +439,7 @@ def _ceq_block(cfg: RunConfig) -> tuple[dict, bool]:
         beta = float(cfg.beta[0])
     else:
         raise ValueError("the residual search takes a single --beta value")
-    if cfg.lambda_grid is not None:
-        interval = (float(cfg.lambda_grid[0]), float(cfg.lambda_grid[-1]))
-        res = transitions.qpt_from_ceq(beta, interval, max(len(cfg.lambda_grid), 16))
-    else:
-        res = transitions.qpt_from_ceq(beta)
+    res = transitions.qpt_from_ceq(beta, *_window(cfg, (0.5, 1.5), 257))
     # as beta grows the zero-variance condition collapses to its double root xi = 1
     limit = 1.0
     block = {

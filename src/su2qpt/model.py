@@ -78,10 +78,6 @@ class Spectrum:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def n_particles(self) -> int:
-        return self.m_values.size - 1
-
     def energies(self, lam: float) -> np.ndarray:
         """All level energies at one coupling."""
         return self.intercepts + self.slopes * lam

@@ -10,16 +10,14 @@ peek at the closed-form answer while searching.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from . import model, thermo
+from . import thermo
 from .model import CriticalPoint, Spectrum
-from .spin_algebra import Multiplet
-from .thermo import ThermalObservables
 
 __all__ = [
     "PeakEstimate",
@@ -99,32 +97,35 @@ def _golden_min(f, a: float, b: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _bisect_root(f, a: float, b: float, xtol: float) -> float:
-    """Plain bisection; the caller guarantees a sign change on [a, b]."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        return 0.5 * (a + b)
-    while b - a > xtol:
+def _bisect(inside, a: float, b: float, xtol: float) -> tuple[float, float]:
+    """Shrink a bracket whose end a is inside and whose end b is not.
+
+    b may lie on either side of a.  Returns the final (inside, outside)
+    pair, at most xtol apart.
+    """
+    while abs(b - a) > xtol:
         mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
+        if inside(mid):
+            a = mid
         else:
             b = mid
-    return 0.5 * (a + b)
+    return a, b
 
 
-def _check_interval(lambda_range) -> tuple[float, float]:
-    lo, hi = float(lambda_range[0]), float(lambda_range[1])
+def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample f on a uniform grid of grid_points over window = (lo, hi)."""
+    if grid_points < 16:
+        raise ValueError("grid_points must be at least 16")
+    lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
-    return lo, hi
+    grid = np.linspace(lo, hi, grid_points)
+    return grid, np.array([f(x) for x in grid])
+
+
+def _interior_maxima(y: np.ndarray) -> np.ndarray:
+    """Indices of the strict interior local maxima of y."""
+    return np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1
 
 
 def find_peaks(
@@ -144,25 +145,18 @@ def find_peaks(
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
-    lo, hi = _check_interval(lambda_range)
 
     def var_at(x: float) -> float:
         return thermo.observables(s, beta, x).energy_variance
 
-    grid = np.linspace(lo, hi, grid_points)
-    y = np.array([var_at(x) for x in grid])
-
+    grid, y = _scan(var_at, lambda_range, grid_points)
     peaks: list[PeakEstimate] = []
-    for i in range(1, grid_points - 1):
-        if not (y[i] > y[i - 1] and y[i] > y[i + 1]):
-            continue
+    for i in _interior_maxima(y):
         lam_star = _golden_min(
             lambda x: -var_at(x), float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8
         )
         height = var_at(lam_star)
-        width = _fwhm(var_at, grid, y, i, height)
+        width = _fwhm(var_at, grid, y, i, lam_star, height)
         peaks.append(
             PeakEstimate(lambda_at_peak=lam_star, height=height, width=width, beta=beta)
         )
@@ -178,35 +172,31 @@ def find_peaks(
     return deduped
 
 
-def _fwhm(var_at, grid, y, i_peak: int, height: float) -> float:
+def _fwhm(var_at, grid, y, i_peak: int, lam_star: float, height: float) -> float:
     half = 0.5 * height
 
-    def crossing(x: float) -> float:
-        return var_at(x) - half
+    def above_half(x: float) -> bool:
+        return var_at(x) >= half
 
-    k = i_peak
-    while k + 1 < len(grid) and y[k + 1] >= half:
-        k += 1
-    if k + 1 == len(grid):
-        right = float(grid[-1])
-    else:
-        right = _bisect_root(crossing, float(grid[k]), float(grid[k + 1]), xtol=1e-10)
+    def flank(step: int) -> float:
+        k = i_peak
+        if y[k] < half:
+            # a peak narrower than the grid has its top sample below half
+            # height already: bisect from the refined top to the first
+            # sample past it
+            past = k if (grid[k] - lam_star) * step > 0 else k + step
+            a, b = _bisect(above_half, lam_star, float(grid[past]), xtol=1e-10)
+            return 0.5 * (a + b)
+        # walk the samples away from the peak while they stay at or above
+        # half height, then bisect the cell where they drop below it
+        while 0 <= k + step < len(grid) and y[k + step] >= half:
+            k += step
+        if not 0 <= k + step < len(grid):
+            return float(grid[k])  # the flank never drops that far: clamp
+        a, b = _bisect(above_half, float(grid[k]), float(grid[k + step]), xtol=1e-10)
+        return 0.5 * (a + b)
 
-    k = i_peak
-    while k - 1 >= 0 and y[k - 1] >= half:
-        k -= 1
-    if k == 0:
-        left = float(grid[0])
-    else:
-        left = _bisect_root(crossing, float(grid[k - 1]), float(grid[k]), xtol=1e-10)
-    return right - left
-
-
-def _default_critical_points(s: Spectrum) -> list[CriticalPoint]:
-    # infer the gap from the topmost level, intercept = e_gap * J; valid
-    # for spectra built by analytic_spectrum, not for shifted variants
-    e_gap = float(s.intercepts[-1] / s.m_values[-1])
-    return model.critical_couplings(Multiplet(s.n_particles), e_gap=e_gap)
+    return flank(+1) - flank(-1)
 
 
 def track_peaks_to_zero_t(
@@ -214,11 +204,13 @@ def track_peaks_to_zero_t(
     beta_schedule,
     lambda_range,
     grid_points: int = 512,
-    critical_points: list[CriticalPoint] | None = None,
+    *,
+    critical_points: list[CriticalPoint],
 ) -> TrackingResult:
     """Follow remnant peaks along an increasing beta schedule.
 
-    Each refined peak is assigned to the nearest analytic crossing and
+    Each refined peak is assigned to the nearest of ``critical_points``,
+    the spectrum's analytic crossings (``model.critical_couplings``), and
     its offset recorded; as beta grows the offsets, heights and widths
     all shrink toward the zero-temperature limit.  A peak sitting far
     from every crossing (more than a quarter of the distance to the next
@@ -231,8 +223,6 @@ def track_peaks_to_zero_t(
         raise ValueError("beta schedule needs at least 3 values")
     if any(b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])):
         raise ValueError("beta schedule must be strictly increasing")
-    if critical_points is None:
-        critical_points = _default_critical_points(s)
     crit = [cp.lambda_c for cp in critical_points]
     if not crit:
         raise ValueError("no crossings to track; the model needs at least 2 particles")
@@ -269,61 +259,44 @@ def detect_jumps(
     are peeled left to right.  Only jumps whose plateau gap exceeds the
     threshold are returned.
     """
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
     if not jump_threshold > 0:
         raise ValueError("jump_threshold must be positive")
-    lo, hi = _check_interval(lambda_range)
 
     def zt(x: float) -> float:
         return thermo.zero_t_c_star_lambda(s, x)
 
-    grid = np.linspace(lo, hi, grid_points)
-    g = np.array([zt(x) for x in grid])
+    grid, g = _scan(zt, lambda_range, grid_points)
     # half the threshold so a split jump flags both of its cells
     flagged = np.abs(np.diff(g)) >= 0.5 * jump_threshold
-
-    jumps: list[JumpPoint] = []
 
     def plateau_tol(value: float) -> float:
         return 1e-9 * max(1.0, abs(value))
 
-    def refine(a: float, b: float, ga: float, gb: float) -> None:
-        # peel off the leftmost plateau change inside (a, b)
-        lo_, hi_ = a, b
-        while hi_ - lo_ > 1e-10:
-            mid = 0.5 * (lo_ + hi_)
-            if abs(zt(mid) - ga) <= plateau_tol(ga):
-                lo_ = mid
-            else:
-                hi_ = mid
-        lam_star = _polish_crossing(s, lo_, hi_)
-        probe = hi_ + 1e-8 * max(1.0, abs(hi_))
-        right_value = zt(probe)
-        jumps.append(
-            JumpPoint(
-                lam=lam_star,
-                left_value=ga,
-                right_value=right_value,
-                midpoint_value=zt(lam_star),
-            )
-        )
-        if probe < b and abs(right_value - gb) > plateau_tol(gb):
-            refine(probe, b, right_value, gb)
-
-    i = 0
-    n_cells = len(flagged)
-    while i < n_cells:
-        if not flagged[i]:
-            i += 1
+    jumps: list[JumpPoint] = []
+    # each run of flagged cells i..j-1 is one region, from grid point i to j
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], flagged.astype(np.int8), [0]))))
+    for i, j in runs.reshape(-1, 2):
+        a, b, ga, gb = float(grid[i]), float(grid[j]), float(g[i]), float(g[j])
+        if not abs(gb - ga) > jump_threshold:
             continue
-        j = i
-        while j + 1 < n_cells and flagged[j + 1]:
-            j += 1
-        total = g[j + 1] - g[i]
-        if abs(total) > jump_threshold:
-            refine(float(grid[i]), float(grid[j + 1]), float(g[i]), float(g[j + 1]))
-        i = j + 1
+        # peel plateau changes off (a, b) left to right until the right
+        # plateau gb is reached
+        while True:
+            lo_, hi_ = _bisect(lambda x: abs(zt(x) - ga) <= plateau_tol(ga), a, b, xtol=1e-10)
+            lam_star = _polish_crossing(s, lo_, hi_)
+            probe = hi_ + 1e-8 * max(1.0, abs(hi_))
+            right_value = zt(probe)
+            jumps.append(
+                JumpPoint(
+                    lam=lam_star,
+                    left_value=ga,
+                    right_value=right_value,
+                    midpoint_value=zt(lam_star),
+                )
+            )
+            if not (probe < b and abs(right_value - gb) > plateau_tol(gb)):
+                break
+            a, ga = probe, right_value
 
     jumps.sort(key=lambda jp: jp.lam)
     return [jp for jp in jumps if abs(jp.left_value - jp.right_value) > jump_threshold]
@@ -368,21 +341,16 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
-    lo, hi = _check_interval(search_interval)
-    if not lo < 1.0 < hi:
+    lo, hi = float(search_interval[0]), float(search_interval[1])
+    # an unordered interval is left to _scan, which rejects it
+    if lo < hi and not lo < 1.0 < hi:
         raise ValueError("search interval must contain the crossing coupling 1 strictly")
 
     def f(x: float) -> float:
         return thermo.ceq_scaled_residual(x, beta)
 
-    grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([f(x) for x in grid])
-
-    maxima = [
-        i for i in range(1, grid_points - 1) if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]
-    ]
+    grid, vals = _scan(f, (lo, hi), grid_points)
+    maxima = _interior_maxima(vals)
     if len(maxima) >= 2:
         left_hump, right_hump = sorted(sorted(maxima, key=lambda i: vals[i])[-2:])
         a, b = float(grid[left_hump]), float(grid[right_hump])
@@ -391,7 +359,7 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
             return CeqSearchResult(xi=float(xi), converged=True, residual=float(f(xi)))
 
     i = int(np.argmin(vals))
-    if i == 0 or i == grid_points - 1:
+    if i == 0 or i == len(grid) - 1:
         return CeqSearchResult(xi=float(grid[i]), converged=False, residual=float(vals[i]))
     xi = _golden_min(f, float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8)
     return CeqSearchResult(xi=float(xi), converged=True, residual=float(f(xi)))
@@ -400,38 +368,28 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
 CSV_HEADER = "beta,lambda,log_z,mean_energy,entropy,c_star_beta,c_star_lambda,specific_heat"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Grid of thermal observables, row order outer beta then inner lam."""
+    """Thermal observables on a (beta, lam) grid as one read-only array.
 
-    rows: tuple[ThermalObservables, ...]
+    ``values`` holds one row per grid point, outer beta then inner lam,
+    and one column per name in ``COLUMNS``, the fields of ``CSV_HEADER``.
+    """
+
+    COLUMNS: ClassVar[tuple[str, ...]] = tuple(CSV_HEADER.split(","))
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-
-    def to_csv(self, stream) -> None:
-        stream.write(CSV_HEADER + "\n")
-        for r in self.rows:
-            fields = (
-                r.beta,
-                r.lam,
-                r.log_z,
-                r.mean_energy,
-                r.entropy,
-                r.c_star_beta,
-                r.c_star_lambda,
-                r.specific_heat,
-            )
-            stream.write(",".join(_fmt(v) for v in fields) + "\n")
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != len(self.COLUMNS):
+            raise ValueError(f"values must have shape (rows, {len(self.COLUMNS)})")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        lines = [CSV_HEADER]
+        lines += [",".join(format(v, ".17g") for v in row) for row in self.values.tolist()]
+        return "\n".join(lines) + "\n"
 
 
 def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:
@@ -440,5 +398,18 @@ def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:
     lams = list(lambda_grid)
     if not betas or not lams:
         raise ValueError("grids must be non-empty")
-    rows = tuple(thermo.observables(s, b, x) for b in betas for x in lams)
-    return SweepTable(rows=rows)
+
+    def row(beta: float, lam: float) -> tuple[float, ...]:
+        o = thermo.observables(s, beta, lam)
+        return (
+            o.beta,
+            o.lam,
+            o.log_z,
+            o.mean_energy,
+            o.entropy,
+            o.c_star_beta,
+            o.c_star_lambda,
+            o.specific_heat,
+        )
+
+    return SweepTable(np.array([row(b, x) for b in betas for x in lams]))

@@ -108,21 +108,54 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_benchmark_tracer_hooks_resolve(tmp_path):
-    # the benchmark's tracer wraps public functions by the names it looks
-    # up; a deleted name it hooks makes it fail before the command runs
-    spans = tmp_path / "spans.json"
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["spectrum", "--n", "4"], [("model.analytic_spectrum", None)]),
+        (
+            ["sweep", "--n", "4", "--beta", "110", "--lambda-grid", "0.1:1.3:20"],
+            [("transitions.phase_diagram", None), ("transitions.SweepTable.csv_text", None)],
+        ),
+        (
+            ["critical", "--n", "4"],
+            [
+                ("thermo.observables", "transitions.find_peaks"),
+                ("thermo.zero_t_c_star_lambda", "transitions.detect_jumps"),
+            ],
+        ),
+        (
+            ["critical", "--n", "2", "--method", "ceq"],
+            [("thermo.ceq_scaled_residual", "transitions.qpt_from_ceq")],
+        ),
+    ],
+    ids=["spectrum", "sweep", "critical", "ceq"],
+)
+def test_benchmark_tracer_hooks_resolve(tmp_path, args, expected):
+    # the benchmark's tracer wraps functions by the names it looks up and
+    # keys its per-layer metrics on them; a deleted name makes it fail
+    # before the command runs, and a route that bypasses a traced name
+    # would make that layer's metric read 0
+    spans_path = tmp_path / "spans.json"
     proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "trace_child.py"), str(spans),
-         "spectrum", "--n", "4"],
+        [sys.executable, str(REPO / "perfbench" / "trace_child.py"), str(spans_path), *args],
         capture_output=True,
         text=True,
         env=_child_env(),
         cwd=REPO,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert "model.analytic_spectrum" in names
+    spans = json.loads(spans_path.read_text())["spans"]
+
+    def ancestors(i):
+        while spans[i][1] != -1:
+            i = spans[i][1]
+            yield spans[i][0]
+
+    for name, under in expected:
+        found = [i for i, span in enumerate(spans) if span[0] == name]
+        assert found, name
+        if under is not None:
+            assert any(under in ancestors(i) for i in found), (name, under)
 
 
 class TestSpectrum:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
     CSV_HEADER,
+    SweepTable,
     detect_jumps,
     find_peaks,
     phase_diagram,
@@ -19,6 +19,7 @@ from su2qpt.transitions import (
 S2 = analytic_spectrum(Multiplet(2))
 S4 = analytic_spectrum(Multiplet(4))
 S8 = analytic_spectrum(Multiplet(8))
+CRIT4 = critical_couplings(Multiplet(4))
 
 # 2*u where tanh(u) = 1/u: flank offset of a two-level variance remnant
 # is 2u/(beta*|slope gap|)
@@ -53,6 +54,43 @@ class TestFindPeaks:
         # between the crossings the variance is U-shaped, no interior max
         assert find_peaks(S4, 110.0, (0.4, 0.6), 128) == []
 
+    @pytest.mark.parametrize("window, side", [((0.97, 1.1), "left"), ((0.9, 1.03), "right")])
+    def test_window_edge_clamps_a_cut_flank(self, window, side):
+        # the window cuts one flank of a peak above half height: the width
+        # runs from that window edge to the bisected crossing on the other
+        # flank
+        def half_crossing(peak, outside):
+            inside, half = peak.lambda_at_peak, 0.5 * peak.height
+            for _ in range(60):
+                mid = 0.5 * (inside + outside)
+                if observables(S4, 110.0, mid).energy_variance >= half:
+                    inside = mid
+                else:
+                    outside = mid
+            return inside
+
+        peaks = find_peaks(S4, 110.0, window, 512)
+        if side == "left":
+            (pk,) = [p for p in peaks if p.lambda_at_peak < 1.0]
+            want = half_crossing(pk, 1.0) - window[0]
+        else:
+            (pk,) = [p for p in peaks if p.lambda_at_peak > 1.0]
+            want = window[1] - half_crossing(pk, 1.0)
+        assert abs(pk.width - want) <= 1e-9
+
+    def test_peak_narrower_than_the_grid(self):
+        # on 64 points the remnant flank near 1/4 of N = 5 is narrower than
+        # a grid cell, so its top sample lies below half height; the width
+        # must still be the one a fine scan resolves
+        s5 = analytic_spectrum(Multiplet(5))
+        coarse = find_peaks(s5, 90.0, (0.1, 1.3), 64)[0]
+        fine = min(
+            find_peaks(s5, 90.0, (0.1, 0.4), 4096),
+            key=lambda p: abs(p.lambda_at_peak - coarse.lambda_at_peak),
+        )
+        assert abs(coarse.lambda_at_peak - fine.lambda_at_peak) <= 1e-7
+        assert math.isclose(coarse.width, fine.width, rel_tol=1e-7)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             find_peaks(S4, 0.0, (0.0, 1.0))
@@ -64,35 +102,41 @@ class TestFindPeaks:
 
 class TestTrackPeaks:
     def test_resolved_tracking_has_no_warnings(self):
-        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512)
+        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, critical_points=CRIT4)
         assert res.warnings == ()
         assert {t.nearest_critical for t in res.peaks} == {1 / 3, 1.0}
         assert all(t.offset < 0.05 for t in res.peaks)
 
     def test_offsets_shrink_with_beta(self):
-        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512)
+        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512, critical_points=CRIT4)
         worst = {b: max(t.offset for t in res.peaks if t.beta == b) for b in (70.0, 90.0, 110.0)}
         assert worst[70.0] > worst[90.0] > worst[110.0]
 
     def test_merged_remnants_are_flagged(self):
         # at beta ~ 10 the two crossings share one broad basin
-        res = track_peaks_to_zero_t(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512)
+        res = track_peaks_to_zero_t(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512, critical_points=CRIT4)
         assert len(res.warnings) > 0
         assert "not" in res.warnings[0] and "resolved" in res.warnings[0]
 
     def test_inferred_gap_for_scaled_model(self):
         s = analytic_spectrum(Multiplet(4), e_gap=2.0)
-        res = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512)
+        crit = critical_couplings(Multiplet(4), e_gap=2.0)
+        res = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, critical_points=crit)
         assert res.peaks
         assert {t.nearest_critical for t in res.peaks} == {2 / 3, 2.0}
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            track_peaks_to_zero_t(S4, (70.0, 90.0), (0.0, 1.4))
+            track_peaks_to_zero_t(S4, (70.0, 90.0), (0.0, 1.4), critical_points=CRIT4)
         with pytest.raises(ValueError):
-            track_peaks_to_zero_t(S4, (70.0, 70.0, 90.0), (0.0, 1.4))
+            track_peaks_to_zero_t(S4, (70.0, 70.0, 90.0), (0.0, 1.4), critical_points=CRIT4)
         with pytest.raises(ValueError):
-            track_peaks_to_zero_t(analytic_spectrum(Multiplet(1)), (70.0, 90.0, 110.0), (0.0, 1.4))
+            track_peaks_to_zero_t(
+                analytic_spectrum(Multiplet(1)),
+                (70.0, 90.0, 110.0),
+                (0.0, 1.4),
+                critical_points=critical_couplings(Multiplet(1)),
+            )
 
 
 class TestDetectJumps:
@@ -162,6 +206,15 @@ class TestDetectJumps:
         assert len(jumps) == 1
         assert abs(jumps[0].lam - 1 / 3) <= 1e-9
 
+    def test_many_jumps_in_one_coarse_cell(self):
+        # a 16-point grid puts hundreds of the N = 2100 crossings in its
+        # first cell; peeling them must not recurse once per jump
+        m = Multiplet(2100)
+        want = [cp.lambda_c for cp in critical_couplings(m)]
+        jumps = detect_jumps(analytic_spectrum(m), (0.0, 1.2), 16)
+        assert len(jumps) == len(want) == 1050
+        assert all(abs(jp.lam - lam_c) <= 1e-9 for jp, lam_c in zip(jumps, want))
+
     def test_no_jumps_inside_a_plateau(self):
         assert detect_jumps(S4, (0.4, 0.9), 128) == []
 
@@ -202,8 +255,19 @@ class TestCeqSearch:
 class TestPhaseDiagram:
     def test_row_order_outer_beta_inner_lambda(self):
         table = phase_diagram(S4, [1.0, 2.0], [0.1, 0.2])
-        got = [(r.beta, r.lam) for r in table.rows]
-        assert got == [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.2)]
+        got = table.values[:, :2].tolist()
+        assert got == [[1.0, 0.1], [1.0, 0.2], [2.0, 0.1], [2.0, 0.2]]
+
+    def test_values_are_a_frozen_checked_array(self):
+        table = phase_diagram(S4, [1.0, 2.0], [0.1, 0.2, 0.3])
+        assert table.values.shape == (6, len(SweepTable.COLUMNS))
+        assert ",".join(SweepTable.COLUMNS) == CSV_HEADER
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            SweepTable(np.zeros((2, 7)))
+        with pytest.raises(ValueError):
+            SweepTable(np.zeros(8))
 
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):
@@ -245,9 +309,3 @@ class TestPhaseDiagram:
                 )
             )
             assert rebuilt == line
-
-    def test_to_csv_writes_to_stream(self):
-        table = phase_diagram(S4, [1.0], [0.5])
-        buf = io.StringIO()
-        table.to_csv(buf)
-        assert buf.getvalue() == table.csv_text()
