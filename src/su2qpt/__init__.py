@@ -15,6 +15,7 @@ from .model import (
     analytic_spectrum,
     build_hamiltonian,
     critical_couplings,
+    ground_level,
     ground_slope,
     ground_state_energy,
 )
@@ -30,6 +31,7 @@ from .thermo import (
     ceq_scaled_residual,
     n2_closed_forms,
     observables,
+    observables_grid,
     zero_t_c_star_lambda,
 )
 from .transitions import (
@@ -63,12 +65,14 @@ __all__ = [
     "critical_couplings",
     "ground_state_energy",
     "ground_slope",
+    "ground_level",
     "EigenResult",
     "NonConvergenceError",
     "jacobi_eigenvalues",
     "ThermalObservables",
     "N2ClosedForms",
     "observables",
+    "observables_grid",
     "zero_t_c_star_lambda",
     "n2_closed_forms",
     "ceq_scaled_residual",

@@ -351,8 +351,8 @@ def cmd_zero_t(cfg: RunConfig) -> int:
     rows = []
     for lam in cfg.lambda_grid:
         lam = float(lam)
-        e0, ms = model.ground_state_energy(s, lam)
-        rows.append((lam, model.ground_slope(s, lam), e0, len(ms)))
+        e0, ms, slope = model.ground_level(s, lam)
+        rows.append((lam, slope, e0, len(ms)))
     if cfg.fmt == "json":
         payload = [
             {

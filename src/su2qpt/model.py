@@ -26,6 +26,7 @@ __all__ = [
     "critical_couplings",
     "ground_state_energy",
     "ground_slope",
+    "ground_level",
 ]
 
 # Relative tolerance for calling two level energies degenerate.  The
@@ -163,8 +164,8 @@ def ground_state_energy(s: Spectrum, lam: float) -> tuple[float, list[float]]:
     Meaningful for lam >= 0 (the model's domain); levels within a
     relative DEGENERACY_RTOL of the minimum count as degenerate.
     """
-    mask, e_min = _ground_mask(s, lam)
-    return e_min, [float(x) for x in s.m_values[mask]]
+    e_min, ms, _ = ground_level(s, lam)
+    return e_min, ms
 
 
 def ground_slope(s: Spectrum, lam: float) -> float:
@@ -175,3 +176,12 @@ def ground_slope(s: Spectrum, lam: float) -> float:
     """
     mask, _ = _ground_mask(s, lam)
     return float(s.slopes[mask].mean())
+
+
+def ground_level(s: Spectrum, lam: float) -> tuple[float, list[float], float]:
+    """Ground energy, the M values achieving it and their mean slope.
+
+    One pass over the levels; the slope equals ``ground_slope(s, lam)``.
+    """
+    mask, e_min = _ground_mask(s, lam)
+    return e_min, [float(x) for x in s.m_values[mask]], float(s.slopes[mask].mean())

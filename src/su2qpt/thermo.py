@@ -27,7 +27,9 @@ from .model import Spectrum
 __all__ = [
     "ThermalObservables",
     "N2ClosedForms",
+    "COLUMNS",
     "observables",
+    "observables_grid",
     "zero_t_c_star_lambda",
     "n2_closed_forms",
     "ceq_scaled_residual",
@@ -81,8 +83,31 @@ def _check_beta(beta: float) -> None:
         raise ValueError("beta must be non-negative")
 
 
-def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
-    """Full set of canonical observables at one (beta, lam) point.
+# The columns of ``observables_grid``, in the order of the ``sweep`` CSV.
+COLUMNS = (
+    "beta",
+    "lambda",
+    "log_z",
+    "mean_energy",
+    "entropy",
+    "c_star_beta",
+    "c_star_lambda",
+    "specific_heat",
+)
+
+# Level x point elements per block of ``observables_grid``.  A block's
+# temporaries then stay a few tens of kB whatever the grid length; at
+# large N a block is one point.
+_BLOCK_ELEMENTS = 4096
+
+
+def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
+    """The six computed columns of ``COLUMNS`` and the occupations.
+
+    The one thermodynamic kernel.  ``lam`` may have any shape; the
+    levels sit on a new last axis and every reduction runs along it, one
+    point at a time, so a point gets the same bits whether it comes
+    alone (0-d ``lam``) or inside a grid block.
 
     The second moment is centered before squaring, which keeps the
     variance accurate even when it is fifteen orders of magnitude below
@@ -90,38 +115,86 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     beta*(<E> - e_min) + ln(shifted Z), an algebraically identical form
     that cannot go negative through cancellation.
     """
-    _check_beta(beta)
     # Excitations d_i = e_i - e_min and their Boltzmann weights.  The
     # shift keeps every exponent non-positive, so the weights live in
     # (0, 1] and their sum in [1, dim] no matter how large beta gets.
-    e = s.energies(lam)
-    e_min = float(e.min())
-    d = e - e_min
+    e = s.intercepts + s.slopes * lam[..., None]
+    e_min = np.minimum.reduce(e, axis=-1)
+    d = e - e_min[..., None]
     w = np.exp(-beta * d)
-    w_sum = float(w.sum())
-    p = w / w_sum
-    p.setflags(write=False)
-    log_w_sum = math.log(w_sum)
+    w_sum = np.add.reduce(w, axis=-1)
+    p = w / w_sum[..., None]
+    # ln(shifted Z) = log1p(w_sum - 1), with w_sum - 1 formed as the
+    # weights of exactly 1 beyond the first (the rest of a degenerate
+    # ground level, or every level at beta = 0) plus the excited weights,
+    # those below 1, summed apart: w_sum - 1 itself would lose the digits
+    # that make up a small entropy.  w_sum - w_excited is the count of
+    # ones to within a few ulp, so rint recovers it exactly.
+    w_excited = np.vecdot(w, w < 1.0)
+    log_w_sum = np.log1p(np.rint(w_sum - w_excited) - 1.0 + w_excited)
 
-    delta = float(p @ d)  # mean excitation above the ground level
-    mean_energy = e_min + delta
-    centered = d - delta
-    var = float(p @ (centered * centered))
+    delta = np.vecdot(p, d)  # mean excitation above the ground level
+    centered = d - delta[..., None]
+    var = np.vecdot(p, centered * centered)
 
     slopes = s.slopes
-    mean_slope = float(p @ slopes)
-    cov = float(p @ (centered * (slopes - mean_slope)))
+    mean_slope = np.vecdot(p, slopes)
+    cov = np.vecdot(p, centered * (slopes - mean_slope[..., None]))
 
+    columns = (
+        -beta * e_min + log_w_sum,  # log_z
+        e_min + delta,  # mean_energy
+        beta * delta + log_w_sum,  # entropy
+        -var,  # c_star_beta
+        mean_slope - beta * cov,  # c_star_lambda
+        beta * beta * var,  # specific_heat
+    )
+    return columns, p
+
+
+def observables_grid(s: Spectrum, beta: float, lams) -> np.ndarray:
+    """The ``COLUMNS`` of every point (beta, lam) for lam in ``lams``.
+
+    Returns a (len(lams), 8) float array, one row per coupling.  Each row
+    equals, bit for bit, the same fields of ``observables(s, beta, lam)``:
+    both evaluate one kernel, here on blocks of couplings.
+    """
+    _check_beta(beta)
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1:
+        raise ValueError("lams must be one-dimensional")
+    out = np.empty((lams.size, len(COLUMNS)))
+    out[:, 0] = beta
+    out[:, 1] = lams
+    rows = max(1, _BLOCK_ELEMENTS // s.slopes.size)
+    for start in range(0, lams.size, rows):
+        # the occupations are dropped at once: at large N they are the
+        # size of every other temporary of the block
+        columns = _kernel(s, beta, lams[start : start + rows])[0]
+        for k, column in enumerate(columns, start=2):
+            out[start : start + rows, k] = column
+    return out
+
+
+def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
+    """Full set of canonical observables at one (beta, lam) point.
+
+    The 0-d case of the kernel behind ``observables_grid``.
+    """
+    _check_beta(beta)
+    columns, p = _kernel(s, beta, np.asarray(lam, dtype=float))
+    log_z, mean_energy, entropy, c_star_beta, c_star_lambda, specific_heat = map(float, columns)
+    p.setflags(write=False)
     return ThermalObservables(
         beta=beta,
         lam=lam,
-        log_z=-beta * e_min + log_w_sum,
+        log_z=log_z,
         mean_energy=mean_energy,
-        energy_variance=var,
-        c_star_beta=-var,
-        c_star_lambda=mean_slope - beta * cov,
-        specific_heat=beta * beta * var,
-        entropy=beta * delta + log_w_sum,
+        energy_variance=-c_star_beta,
+        c_star_beta=c_star_beta,
+        c_star_lambda=c_star_lambda,
+        specific_heat=specific_heat,
+        entropy=entropy,
         occupations=p,
     )
 

@@ -36,6 +36,14 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Interior maxima of a peak scan below this share of its largest sample
+# are float noise on a flat tail (the variance there is ~1e-31 where the
+# real remnant peaks are ~1e-4), not remnant peaks.
+_PEAK_FLOOR = 1e-12
+
+# The observables_grid column of d<E>/d(beta), minus the energy variance.
+_C_STAR_BETA = thermo.COLUMNS.index("c_star_beta")
+
 
 @dataclass(frozen=True)
 class PeakEstimate:
@@ -113,14 +121,23 @@ def _bisect(inside, a: float, b: float, xtol: float) -> tuple[float, float]:
 
 
 def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample f on a uniform grid of grid_points over window = (lo, hi)."""
+    """A uniform grid of grid_points over window = (lo, hi), and f(grid).
+
+    f maps the whole grid to the array of its values; ``_pointwise``
+    lifts a function of one coupling to that form.
+    """
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
     grid = np.linspace(lo, hi, grid_points)
-    return grid, np.array([f(x) for x in grid])
+    return grid, f(grid)
+
+
+def _pointwise(f):
+    """f applied to each point of a grid, as a function of the grid."""
+    return lambda grid: np.array([f(x) for x in grid])
 
 
 def _interior_maxima(y: np.ndarray) -> np.ndarray:
@@ -138,7 +155,10 @@ def find_peaks(
     by golden-section search to a coupling resolution of 1e-8.  The
     width is the full width at half maximum, found by bisecting the
     half-height crossings on both flanks (clamped at the window edge if
-    a flank never drops that far).
+    a flank never drops that far).  Maxima below ``_PEAK_FLOOR`` times
+    the largest sample are float noise and are skipped.  The scan is one
+    ``thermo.observables_grid`` call; the refinement evaluates one point
+    at a time.
 
     Returns an empty list when no interior maximum exists, e.g. when
     beta is too small and the remnant structure is washed out.
@@ -149,9 +169,13 @@ def find_peaks(
     def var_at(x: float) -> float:
         return thermo.observables(s, beta, x).energy_variance
 
-    grid, y = _scan(var_at, lambda_range, grid_points)
+    def var_on(grid: np.ndarray) -> np.ndarray:
+        return -thermo.observables_grid(s, beta, grid)[:, _C_STAR_BETA]
+
+    grid, y = _scan(var_on, lambda_range, grid_points)
+    maxima = _interior_maxima(y)
     peaks: list[PeakEstimate] = []
-    for i in _interior_maxima(y):
+    for i in maxima[y[maxima] > _PEAK_FLOOR * y.max()]:
         lam_star = _golden_min(
             lambda x: -var_at(x), float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8
         )
@@ -265,7 +289,7 @@ def detect_jumps(
     def zt(x: float) -> float:
         return thermo.zero_t_c_star_lambda(s, x)
 
-    grid, g = _scan(zt, lambda_range, grid_points)
+    grid, g = _scan(_pointwise(zt), lambda_range, grid_points)
     # half the threshold so a split jump flags both of its cells
     flagged = np.abs(np.diff(g)) >= 0.5 * jump_threshold
 
@@ -349,7 +373,7 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     def f(x: float) -> float:
         return thermo.ceq_scaled_residual(x, beta)
 
-    grid, vals = _scan(f, (lo, hi), grid_points)
+    grid, vals = _scan(_pointwise(f), (lo, hi), grid_points)
     maxima = _interior_maxima(vals)
     if len(maxima) >= 2:
         left_hump, right_hump = sorted(sorted(maxima, key=lambda i: vals[i])[-2:])
@@ -365,7 +389,7 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     return CeqSearchResult(xi=float(xi), converged=True, residual=float(f(xi)))
 
 
-CSV_HEADER = "beta,lambda,log_z,mean_energy,entropy,c_star_beta,c_star_lambda,specific_heat"
+CSV_HEADER = ",".join(thermo.COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +400,7 @@ class SweepTable:
     and one column per name in ``COLUMNS``, the fields of ``CSV_HEADER``.
     """
 
-    COLUMNS: ClassVar[tuple[str, ...]] = tuple(CSV_HEADER.split(","))
+    COLUMNS: ClassVar[tuple[str, ...]] = thermo.COLUMNS
     values: np.ndarray
 
     def __post_init__(self):
@@ -387,29 +411,17 @@ class SweepTable:
         object.__setattr__(self, "values", values)
 
     def csv_text(self) -> str:
+        # '%.17g' % x is format(x, '.17g'), one format string per row
+        row_fmt = ",".join(["%.17g"] * len(self.COLUMNS))
         lines = [CSV_HEADER]
-        lines += [",".join(format(v, ".17g") for v in row) for row in self.values.tolist()]
+        lines += [row_fmt % tuple(row) for row in self.values.tolist()]
         return "\n".join(lines) + "\n"
 
 
 def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:
     """Thermal observables at every (beta, lam) grid point."""
     betas = list(beta_grid)
-    lams = list(lambda_grid)
-    if not betas or not lams:
+    lams = np.asarray(lambda_grid, dtype=float)
+    if not betas or not lams.size:
         raise ValueError("grids must be non-empty")
-
-    def row(beta: float, lam: float) -> tuple[float, ...]:
-        o = thermo.observables(s, beta, lam)
-        return (
-            o.beta,
-            o.lam,
-            o.log_z,
-            o.mean_energy,
-            o.entropy,
-            o.c_star_beta,
-            o.c_star_lambda,
-            o.specific_heat,
-        )
-
-    return SweepTable(np.array([row(b, x) for b in betas for x in lams]))
+    return SweepTable(np.concatenate([thermo.observables_grid(s, b, lams) for b in betas]))

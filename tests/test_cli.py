@@ -114,7 +114,11 @@ def test_cli_import_leaves_mpmath_unloaded():
         (["spectrum", "--n", "4"], [("model.analytic_spectrum", None)]),
         (
             ["sweep", "--n", "4", "--beta", "110", "--lambda-grid", "0.1:1.3:20"],
-            [("transitions.phase_diagram", None), ("transitions.SweepTable.csv_text", None)],
+            [
+                ("transitions.phase_diagram", None),
+                ("transitions.SweepTable.csv_text", None),
+                ("thermo.observables_grid", "transitions.phase_diagram"),
+            ],
         ),
         (
             ["critical", "--n", "4"],
@@ -241,6 +245,23 @@ class TestSweep:
         want = observables(s8, 10.0, 0.9)
         assert rows[3]["log_z"] == want.log_z
         assert rows[3]["specific_heat"] == want.specific_heat
+
+    def test_rows_re_evaluate_to_the_same_text(self, capsys):
+        # every CSV row is reproduced by observables at its (beta, lambda),
+        # across several grid blocks and exactly on the crossings
+        s8 = analytic_spectrum(Multiplet(8))
+        crossings = ",".join(repr(x) for x in (1 / 7, 1 / 5, 1 / 3, 1.0))
+        for grid in ("0.02:1.4:1000", crossings):
+            rc, out, _ = run(["sweep", "--n", "8", "--beta", "0,70,110", "--lambda-grid", grid], capsys)
+            assert rc == 0
+            lines = out.split("\n")[1:-1]
+            assert len(lines) == 3 * len(cli.parse_grid(grid))
+            for line in lines:
+                fields = line.split(",")
+                o = observables(s8, float(fields[0]), float(fields[1]))
+                values = (o.beta, o.lam, o.log_z, o.mean_energy, o.entropy)
+                values += (o.c_star_beta, o.c_star_lambda, o.specific_heat)
+                assert ",".join(format(v, ".17g") for v in values) == line
 
     def test_missing_grids_are_usage_errors(self, capsys):
         rc, _, err = run(["sweep", "--n", "4", "--lambda-grid", "0:1:5"], capsys)

@@ -9,6 +9,7 @@ from su2qpt.model import (
     analytic_spectrum,
     build_hamiltonian,
     critical_couplings,
+    ground_level,
     ground_slope,
     ground_state_energy,
 )
@@ -207,6 +208,16 @@ def test_ground_slope_examples():
     assert ground_slope(s, 2.0) == -4.0
     assert ground_slope(s, 1 / 3) == -1.5
     assert ground_slope(s, 1.0) == -3.5
+
+
+def test_ground_level_is_energy_and_slope_in_one_pass():
+    for n in range(2, 65):
+        mult = Multiplet(n)
+        s = analytic_spectrum(mult)
+        lams = [0.0, 0.37, 2.0] + [cp.lambda_c for cp in critical_couplings(mult)]
+        for lam in lams:
+            e0, ms = ground_state_energy(s, lam)
+            assert ground_level(s, lam) == (e0, ms, ground_slope(s, lam))
 
 
 def test_every_crossing_is_twofold_degenerate():

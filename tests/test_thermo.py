@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from su2qpt import thermo
 from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_slope
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import (
+    COLUMNS,
     ceq_scaled_residual,
     n2_closed_forms,
     observables,
+    observables_grid,
     zero_t_c_star_lambda,
 )
 
@@ -216,3 +219,76 @@ def test_variance_against_two_point_formula():
     want = (gap / 2.0 / math.cosh(beta * gap / 2.0)) ** 2
     got = observables(S4, beta, lam).energy_variance
     assert math.isclose(got, want, rel_tol=1e-10)
+
+
+def _scalar_row(s, beta, lam):
+    o = observables(s, beta, lam)
+    return np.array([getattr(o, name) for name in ("beta", "lam") + COLUMNS[2:]])
+
+
+def _assert_rows_equal_scalar(s, beta, lams):
+    grid = observables_grid(s, beta, lams)
+    assert grid.shape == (len(lams), len(COLUMNS))
+    for i in range(len(lams)):
+        # bit for bit, not allclose: a CSV row must re-evaluate to itself
+        assert np.array_equal(grid[i], _scalar_row(s, beta, lams[i])), (beta, lams[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=0.0, max_value=1e4),
+    st.floats(min_value=1.0, max_value=3.5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grid_rows_equal_scalar_observables_bitwise(n, beta, blocks, seed):
+    mult = Multiplet(n)
+    s = analytic_spectrum(mult)
+    # a grid several blocks long, with every exact crossing on it
+    length = int(blocks * max(1, thermo._BLOCK_ELEMENTS // (n + 1)))
+    rng = np.random.default_rng(seed)
+    lams = np.sort(rng.uniform(0.0, 2.0, length))
+    crossings = [cp.lambda_c for cp in critical_couplings(mult)]
+    lams[rng.choice(length, size=min(len(crossings), length), replace=False)] = crossings[:length]
+    _assert_rows_equal_scalar(s, beta, lams)
+
+
+def test_grid_rows_equal_scalar_observables_at_large_n():
+    mult = Multiplet(300000)
+    s = analytic_spectrum(mult)
+    lams = np.array([0.0, 0.3001, critical_couplings(mult)[-2].lambda_c, 0.98221818181818177])
+    for beta in (0.0, 110.0):
+        _assert_rows_equal_scalar(s, beta, lams)
+
+
+def test_grid_columns_and_validation():
+    grid = observables_grid(S4, 70.0, [0.1, 0.2, 0.3])
+    assert grid.shape == (3, 8)
+    assert np.array_equal(grid[:, 0], [70.0] * 3)
+    assert np.array_equal(grid[:, 1], [0.1, 0.2, 0.3])
+    assert observables_grid(S4, 70.0, []).shape == (0, 8)
+    with pytest.raises(ValueError):
+        observables_grid(S4, -1.0, [0.1])
+    with pytest.raises(ValueError):
+        observables_grid(S4, 1.0, [[0.1, 0.2]])
+
+
+def _mp_entropy(s, beta, lam):
+    # from the engine's float64 level energies, at 50 digits
+    e = s.intercepts + s.slopes * lam
+    with mp.workdps(50):
+        d = [mpf(float(x)) - mpf(float(e.min())) for x in e]
+        w = [mp.exp(-mpf(beta) * x) for x in d]
+        z = mp.fsum(w)
+        return float(mpf(beta) * mp.fsum(wi * di for wi, di in zip(w, d)) / z + mp.log(z))
+
+
+@pytest.mark.parametrize("lam", [0.17, 0.25, 0.5, 0.7, 1.3])
+def test_small_entropy_matches_high_precision(lam):
+    # beta = 110 away from any crossing: S is far below 1, where ln of a
+    # weight sum next to 1 used to lose most of its digits
+    want = _mp_entropy(S8, 110.0, lam)
+    assert 0.0 < want < 1e-3
+    got = observables(S8, 110.0, lam).entropy
+    assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+    assert observables_grid(S8, 110.0, [lam])[0, COLUMNS.index("entropy")] == got

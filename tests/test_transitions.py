@@ -91,6 +91,17 @@ class TestFindPeaks:
         assert abs(coarse.lambda_at_peak - fine.lambda_at_peak) <= 1e-7
         assert math.isclose(coarse.width, fine.width, rel_tol=1e-7)
 
+    def test_float_noise_on_a_flat_tail_is_no_peak(self):
+        # past the last crossing of N = 5 the variance is ~1e-31 and its
+        # float noise has strict local maxima; only the four remnant
+        # flanks (heights ~9e-5) are peaks
+        peaks = find_peaks(analytic_spectrum(Multiplet(5)), 70.0, (0.1, 1.3), 4096)
+        assert len(peaks) == 4
+        assert all(p.height > 1e-5 for p in peaks)
+        lams = [p.lambda_at_peak for p in peaks]
+        assert abs((lams[0] + lams[1]) / 2.0 - 0.25) <= 1e-6
+        assert abs((lams[2] + lams[3]) / 2.0 - 0.5) <= 1e-6
+
     def test_validation(self):
         with pytest.raises(ValueError):
             find_peaks(S4, 0.0, (0.0, 1.0))
@@ -286,6 +297,18 @@ class TestPhaseDiagram:
         assert text.endswith("\n")
         assert "\r" not in text
         assert len(lines) == 4  # header + 2 rows + trailing empty piece
+
+    def test_csv_rows_format_like_format_17g(self):
+        # csv_text formats a row with one '%.17g' string; that must print
+        # exactly what format(x, '.17g') prints, for any float
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        values = np.concatenate([bits, special])
+        values = np.resize(values, (values.size // 8 + 1) * 8).reshape(-1, 8)
+        text = SweepTable(values).csv_text()
+        want = [CSV_HEADER] + [",".join(format(v, ".17g") for v in row) for row in values.tolist()]
+        assert text == "\n".join(want) + "\n"
 
     def test_csv_round_trip_reproduces_rows(self):
         table = phase_diagram(S8, [0.5, 70.0], [0.1, 1 / 3, 1.2])
