@@ -16,8 +16,6 @@ from .model import (
     build_hamiltonian,
     critical_couplings,
     ground_level,
-    ground_slope,
-    ground_state_energy,
 )
 from .spin_algebra import (
     Multiplet,
@@ -63,8 +61,6 @@ __all__ = [
     "build_hamiltonian",
     "analytic_spectrum",
     "critical_couplings",
-    "ground_state_energy",
-    "ground_slope",
     "ground_level",
     "EigenResult",
     "NonConvergenceError",

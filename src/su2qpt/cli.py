@@ -35,6 +35,7 @@ _EXIT_NUMERIC = 2
 
 _METHODS = ("analytic", "peaks", "jumps", "ceq", "all")
 _CONFIG_KEYS = frozenset({"n", "e_gap", "beta", "lambda_grid", "lambda", "method", "format", "out"})
+_ZERO_T_COLUMNS = ("lambda", "c_star_lambda_zero_t", "ground_energy", "degeneracy")
 
 
 def _g17(x: float) -> str:
@@ -95,20 +96,21 @@ def _validate_grid(vals: np.ndarray, label) -> np.ndarray:
     return vals
 
 
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_grid(value, name: str) -> np.ndarray:
     """Normalize a flag string or a config value (number, list, spec)."""
     if isinstance(value, str):
         return parse_grid(value)
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be numeric, not boolean")
-    if isinstance(value, (int, float)):
-        return _validate_grid(np.array([float(value)]), name)
+    if _is_number(value):
+        value = [value]
     if isinstance(value, (list, tuple)):
-        try:
-            vals = np.array([float(v) for v in value], dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{name} list must hold numbers") from None
-        return _validate_grid(vals, name)
+        if not all(_is_number(v) for v in value):
+            raise ValueError(f"{name} list must hold numbers")
+        return _validate_grid(np.array(value, dtype=float), name)
     raise ValueError(f"{name} must be a number, a list, or a grid spec string")
 
 
@@ -229,6 +231,8 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         raise ValueError("n must be an integer")
 
     e_gap = pick("e_gap", ns.e_gap)
+    if e_gap is not None and not _is_number(e_gap):
+        raise ValueError("e_gap must be a number")
     e_gap = 1.0 if e_gap is None else float(e_gap)
 
     fmt = pick("format", ns.fmt)
@@ -247,6 +251,9 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
     beta = pick("beta", getattr(ns, "beta", None))
     lambda_grid = pick("lambda_grid", getattr(ns, "lambda_grid", None))
     lam_values = pick("lambda", getattr(ns, "lam", None))
+    out = pick("out", ns.out)
+    if out is not None and not isinstance(out, str):
+        raise ValueError("out must be a path string")
 
     return RunConfig(
         command=ns.command,
@@ -257,7 +264,7 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         lam_values=None if lam_values is None else _as_grid(lam_values, "lambda"),
         method=method,
         fmt=fmt,
-        out=pick("out", ns.out),
+        out=out,
     )
 
 
@@ -295,7 +302,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    # NaN and inf have no JSON spelling; refuse them rather than emit invalid JSON
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -348,25 +356,13 @@ def cmd_zero_t(cfg: RunConfig) -> int:
     if cfg.lambda_grid is None:
         raise ValueError("zero-t needs --lambda-grid")
     s = model.analytic_spectrum(Multiplet(cfg.n_particles), cfg.e_gap)
-    rows = []
-    for lam in cfg.lambda_grid:
-        lam = float(lam)
-        e0, ms, slope = model.ground_level(s, lam)
-        rows.append((lam, slope, e0, len(ms)))
+    e0, slope, degeneracy = model.ground_level(s, cfg.lambda_grid)
+    rows = list(zip(cfg.lambda_grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist()))
     if cfg.fmt == "json":
-        payload = [
-            {
-                "lambda": lam,
-                "c_star_lambda_zero_t": slope,
-                "ground_energy": e0,
-                "degeneracy": deg,
-            }
-            for lam, slope, e0, deg in rows
-        ]
-        _emit(_dump_json(payload), cfg.out)
+        _emit(_dump_json([dict(zip(_ZERO_T_COLUMNS, row)) for row in rows]), cfg.out)
     else:
-        lines = ["lambda,c_star_lambda_zero_t,ground_energy,degeneracy"]
-        lines += [f"{_g17(lam)},{_g17(sl)},{_g17(e0)},{deg}" for lam, sl, e0, deg in rows]
+        lines = [",".join(_ZERO_T_COLUMNS)]
+        lines += [f"{_g17(lam)},{_g17(sl)},{_g17(e)},{deg}" for lam, sl, e, deg in rows]
         _emit("\n".join(lines) + "\n", cfg.out)
     return _EXIT_OK
 

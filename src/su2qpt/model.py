@@ -10,6 +10,7 @@ physics turns non-analytic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,6 @@ __all__ = [
     "build_hamiltonian",
     "analytic_spectrum",
     "critical_couplings",
-    "ground_state_energy",
-    "ground_slope",
     "ground_level",
 ]
 
@@ -39,6 +38,16 @@ __all__ = [
 # apart.
 DEGENERACY_RTOL = 8 * np.finfo(float).eps
 
+# Level x point elements per block of the batched kernels (``ground_level``
+# here, ``thermo.observables_grid``).  A block's temporaries then stay a
+# few tens of kB whatever the grid length; at large N a block is one point.
+_BLOCK_ELEMENTS = 4096
+
+
+def _check_e_gap(e_gap: float) -> None:
+    if not 0.0 < e_gap < math.inf:
+        raise ValueError("e_gap must be positive and finite")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -49,8 +58,7 @@ class ModelParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not self.e_gap > 0:
-            raise ValueError("e_gap must be positive")
+        _check_e_gap(self.e_gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +126,7 @@ def analytic_spectrum(m: Multiplet, e_gap: float = 1.0) -> Spectrum:
     terms cancel to J^2 - M^2, which also makes the extremal levels'
     slope a clean +0.0 instead of -0.0.
     """
-    if not e_gap > 0:
-        raise ValueError("e_gap must be positive")
+    _check_e_gap(e_gap)
     ms = m.m_values()
     return Spectrum(ms, e_gap * ms, ms * ms - m.j * m.j)
 
@@ -132,8 +139,7 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
     no longer positive.  Below N = 2 there is no crossing at positive
     coupling and the list is empty.
     """
-    if not e_gap > 0:
-        raise ValueError("e_gap must be positive")
+    _check_e_gap(e_gap)
     points = []
     n_p = m.n_particles
     j = m.j
@@ -151,37 +157,40 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
     return points
 
 
-def _ground_mask(s: Spectrum, lam: float) -> tuple[np.ndarray, float]:
-    e = s.energies(lam)
-    e_min = float(e.min())
-    tol = DEGENERACY_RTOL * max(1.0, abs(e_min))
-    return e - e_min <= tol, e_min
+def _ground(s: Spectrum, lam: np.ndarray):
+    """Ground energy, mean ground slope and degeneracy at every point of lam."""
+    # in place: at large N each fresh level-sized temporary costs measurably
+    e = s.slopes * lam[..., None]
+    e += s.intercepts
+    e_min = np.minimum.reduce(e, axis=-1)
+    tol = DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
+    e -= e_min[..., None]
+    # a flat index runs point-major, so each point's ground levels form one
+    # run in level order; bincount counts them and sums their slopes
+    point, level = np.divmod(np.flatnonzero(e <= tol[..., None]), s.slopes.size)
+    degeneracy = np.bincount(point, minlength=lam.size).reshape(lam.shape)
+    slope_sum = np.bincount(point, s.slopes[level], lam.size).reshape(lam.shape)
+    return e_min, slope_sum / degeneracy, degeneracy
 
 
-def ground_state_energy(s: Spectrum, lam: float) -> tuple[float, list[float]]:
-    """Minimum level energy and the M values achieving it.
+def ground_level(s: Spectrum, lam):
+    """Ground energy, ground slope d(E0)/d(lam) and degeneracy at each coupling.
 
-    Meaningful for lam >= 0 (the model's domain); levels within a
-    relative DEGENERACY_RTOL of the minimum count as degenerate.
+    The one zero-temperature kernel, for lam >= 0.  The results take the
+    shape of ``lam`` (numpy scalars when it is 0-d).  Levels within a
+    relative DEGENERACY_RTOL of the minimum are degenerate, and the slope
+    is their equal-weight mean, the infinite-beta limit of the Boltzmann
+    occupations.  Levels sit on a new last axis, couplings go in blocks
+    of at most ``_BLOCK_ELEMENTS`` elements, and every reduction runs
+    along one point's levels, so a point gets the same bits alone or in
+    a grid.
     """
-    e_min, ms, _ = ground_level(s, lam)
-    return e_min, ms
-
-
-def ground_slope(s: Spectrum, lam: float) -> float:
-    """d(ground energy)/d(lam); the equal-weight mean over a degenerate set.
-
-    Averaging at a crossing matches the infinite-beta limit of the
-    Boltzmann occupations, which split evenly across the crossing pair.
-    """
-    mask, _ = _ground_mask(s, lam)
-    return float(s.slopes[mask].mean())
-
-
-def ground_level(s: Spectrum, lam: float) -> tuple[float, list[float], float]:
-    """Ground energy, the M values achieving it and their mean slope.
-
-    One pass over the levels; the slope equals ``ground_slope(s, lam)``.
-    """
-    mask, e_min = _ground_mask(s, lam)
-    return e_min, [float(x) for x in s.m_values[mask]], float(s.slopes[mask].mean())
+    lam = np.asarray(lam, dtype=float)
+    rows = max(1, _BLOCK_ELEMENTS // s.slopes.size)
+    if lam.size <= rows:
+        energy, slope, degeneracy = _ground(s, lam)
+    else:
+        flat = lam.ravel()
+        blocks = [_ground(s, flat[i : i + rows]) for i in range(0, flat.size, rows)]
+        energy, slope, degeneracy = (np.concatenate(c).reshape(lam.shape) for c in zip(*blocks))
+    return energy[()], slope[()], degeneracy[()]

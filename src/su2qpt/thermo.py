@@ -8,9 +8,9 @@ never from numerical differencing: at the large beta values of interest
 the curves are so flat that finite differences lose every digit.
 
 Infinite beta is never represented as a float.  Zero-temperature
-quantities have dedicated analytic operations (``zero_t_c_star_lambda``
-here, ``ground_slope`` in the model module), which avoids inf*0
-indeterminacy exactly where the interesting limits live.
+quantities come from the model module's ground-level kernel
+(``model.ground_level``, read here by ``zero_t_c_star_lambda``), which
+avoids inf*0 indeterminacy exactly where the interesting limits live.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .model import Spectrum
+from .model import _BLOCK_ELEMENTS, Spectrum
 
 __all__ = [
     "ThermalObservables",
@@ -94,11 +94,6 @@ COLUMNS = (
     "c_star_lambda",
     "specific_heat",
 )
-
-# Level x point elements per block of ``observables_grid``.  A block's
-# temporaries then stay a few tens of kB whatever the grid length; at
-# large N a block is one point.
-_BLOCK_ELEMENTS = 4096
 
 
 def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
@@ -199,15 +194,15 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     )
 
 
-def zero_t_c_star_lambda(s: Spectrum, lam: float) -> float:
+def zero_t_c_star_lambda(s: Spectrum, lam):
     """Infinite-beta limit of d<E>/d(lam): the ground level's slope.
 
     Right at a crossing this is the equal-weight mean over the
     degenerate pair, matching the limit of the Boltzmann occupations.
     Between crossings it is a constant, so the curve is a staircase
-    that steps down at every critical coupling.
+    that steps down at every critical coupling.  Any shape of ``lam``.
     """
-    return model.ground_slope(s, lam)
+    return model.ground_level(s, lam)[1]
 
 
 class N2ClosedForms(NamedTuple):

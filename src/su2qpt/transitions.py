@@ -286,10 +286,11 @@ def detect_jumps(
     if not jump_threshold > 0:
         raise ValueError("jump_threshold must be positive")
 
-    def zt(x: float) -> float:
+    def zt(x):
         return thermo.zero_t_c_star_lambda(s, x)
 
-    grid, g = _scan(_pointwise(zt), lambda_range, grid_points)
+    # one kernel call for the scan; the bisection probes are its 0-d case
+    grid, g = _scan(zt, lambda_range, grid_points)
     # half the threshold so a split jump flags both of its cells
     flagged = np.abs(np.diff(g)) >= 0.5 * jump_threshold
 
@@ -309,13 +310,13 @@ def detect_jumps(
             lo_, hi_ = _bisect(lambda x: abs(zt(x) - ga) <= plateau_tol(ga), a, b, xtol=1e-10)
             lam_star = _polish_crossing(s, lo_, hi_)
             probe = hi_ + 1e-8 * max(1.0, abs(hi_))
-            right_value = zt(probe)
+            right_value = float(zt(probe))
             jumps.append(
                 JumpPoint(
                     lam=lam_star,
                     left_value=ga,
                     right_value=right_value,
-                    midpoint_value=zt(lam_star),
+                    midpoint_value=float(zt(lam_star)),
                 )
             )
             if not (probe < b and abs(right_value - gb) > plateau_tol(gb)):

@@ -205,6 +205,13 @@ class TestSpectrum:
         assert rc == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("gap", ["inf", "-inf", "nan", "0"])
+    def test_rejects_non_finite_or_non_positive_e_gap(self, gap, capsys):
+        rc, out, err = run(["spectrum", "--n", "4", f"--e-gap={gap}"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("su2qpt: error: e_gap must be positive and finite")
+
 
 class TestSweep:
     def test_csv_to_file(self, tmp_path, capsys):
@@ -280,6 +287,17 @@ class TestSweep:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_bytes()) > 0
+
+    def test_json_refuses_nan_values(self, capsys):
+        # at beta = 1e300 beta^2 * Var overflows; NaN has no JSON spelling
+        with pytest.warns(RuntimeWarning):
+            rc, out, err = run(
+                ["sweep", "--n", "4", "--beta", "1e300", "--lambda-grid", "0.5", "--format", "json"],
+                capsys,
+            )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("su2qpt: error:")
 
     def test_unwritable_out_path(self, capsys):
         rc, _, err = run(
@@ -519,6 +537,39 @@ class TestConfigFile:
         rc, _, err = run(["sweep", "--config", str(cfg)], capsys)
         assert rc == 1
         assert "object" in err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"out": True},
+            {"out": 2},
+            {"e_gap": True},
+            {"e_gap": "2"},
+            {"beta": [True, 2, 3]},
+            {"beta": True},
+            {"beta": ["70", 90]},
+            {"lambda_grid": [False, 0.5]},
+        ],
+        ids=[
+            "out-true",
+            "out-int",
+            "e_gap-true",
+            "e_gap-string",
+            "beta-bool",
+            "beta-scalar-bool",
+            "beta-string",
+            "grid-bool",
+        ],
+    )
+    def test_config_value_types_rejected(self, tmp_path, capsys, bad):
+        # JSON true is a Python int, and an int out would be a file descriptor
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 4, "beta": 110, "lambda_grid": "0.1:0.2:3", **bad}))
+        rc, out, err = run(["sweep", "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("su2qpt: error:")
+        assert next(iter(bad)).replace("_grid", "-grid") in err
 
     def test_missing_config_file(self, capsys):
         rc, _, err = run(["sweep", "--config", "/no/such/file.json"], capsys)

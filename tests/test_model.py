@@ -1,17 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2qpt import model
 from su2qpt.model import (
+    DEGENERACY_RTOL,
     ModelParams,
     Spectrum,
     analytic_spectrum,
     build_hamiltonian,
     critical_couplings,
     ground_level,
-    ground_slope,
-    ground_state_energy,
 )
 from su2qpt.spin_algebra import Multiplet, build_jz
 
@@ -155,6 +157,17 @@ def test_model_params_validation():
         ModelParams(multiplet=Multiplet(2), e_gap=-1.0)
 
 
+@pytest.mark.parametrize("e_gap", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_e_gap_must_be_finite_and_positive(e_gap):
+    # an infinite gap would turn the intercepts and couplings into inf/nan
+    with pytest.raises(ValueError, match="positive and finite"):
+        ModelParams(multiplet=Multiplet(2), e_gap=e_gap)
+    with pytest.raises(ValueError, match="positive and finite"):
+        analytic_spectrum(Multiplet(4), e_gap)
+    with pytest.raises(ValueError, match="positive and finite"):
+        critical_couplings(Multiplet(4), e_gap)
+
+
 def test_critical_couplings_exact():
     got = {
         n: [cp.lambda_c for cp in critical_couplings(Multiplet(n))]
@@ -191,33 +204,105 @@ def test_critical_couplings_below_two_particles():
     assert critical_couplings(Multiplet(1)) == []
 
 
+def ground_reference(s: Spectrum, lam: float):
+    """Ground energy, mean ground slope and degeneracy, one level at a time.
+
+    The documented rule in Python floats: the levels within a relative
+    DEGENERACY_RTOL of the minimum, and the mean of their slopes.
+    """
+    energies = [c + k * lam for c, k in zip(s.intercepts.tolist(), s.slopes.tolist())]
+    e0 = min(energies)
+    tol = DEGENERACY_RTOL * max(1.0, abs(e0))
+    ground = [k for e, k in zip(energies, s.slopes.tolist()) if e - e0 <= tol]
+    return e0, sum(ground) / len(ground), len(ground)
+
+
+def named_levels(s: Spectrum, lam: float, ms: list[float]):
+    """Lowest energy, mean slope and count of the levels labelled by ms."""
+    idx = [s.m_values.tolist().index(m) for m in ms]
+    return min(s.energies(lam)[idx]), sum(s.slopes[idx].tolist()) / len(ms), len(ms)
+
+
 def test_ground_state_energy_examples():
     s = analytic_spectrum(Multiplet(4))
-    assert ground_state_energy(s, 0.2) == (-2.0, [-2.0])
-    assert ground_state_energy(s, 0.5) == (-2.5, [-1.0])
-    assert ground_state_energy(s, 2.0) == (-8.0, [0.0])
-    e, ms = ground_state_energy(s, 1 / 3)
-    assert ms == [-2.0, -1.0]
+    for lam, e0, ms in ((0.2, -2.0, [-2.0]), (0.5, -2.5, [-1.0]), (2.0, -8.0, [0.0])):
+        assert ground_level(s, lam) == named_levels(s, lam, ms)
+        assert ground_level(s, lam)[0] == e0
+    e, slope, degeneracy = ground_level(s, 1 / 3)
+    assert (e, slope, degeneracy) == named_levels(s, 1 / 3, [-2.0, -1.0])
+    assert degeneracy == 2
     assert abs(e - (-2.0)) <= 1e-12
 
 
 def test_ground_slope_examples():
     s = analytic_spectrum(Multiplet(4))
-    assert ground_slope(s, 0.2) == 0.0
-    assert ground_slope(s, 0.5) == -3.0
-    assert ground_slope(s, 2.0) == -4.0
-    assert ground_slope(s, 1 / 3) == -1.5
-    assert ground_slope(s, 1.0) == -3.5
+    assert ground_level(s, 0.2)[1] == 0.0
+    assert ground_level(s, 0.5)[1] == -3.0
+    assert ground_level(s, 2.0)[1] == -4.0
+    assert ground_level(s, 1 / 3)[1] == -1.5
+    assert ground_level(s, 1.0)[1] == -3.5
 
 
 def test_ground_level_is_energy_and_slope_in_one_pass():
+    # one kernel pass gives what the per-level rule gives, bit for bit
     for n in range(2, 65):
         mult = Multiplet(n)
         s = analytic_spectrum(mult)
         lams = [0.0, 0.37, 2.0] + [cp.lambda_c for cp in critical_couplings(mult)]
         for lam in lams:
-            e0, ms = ground_state_energy(s, lam)
-            assert ground_level(s, lam) == (e0, ms, ground_slope(s, lam))
+            got = ground_level(s, lam)
+            assert got == ground_reference(s, lam), (n, lam)
+            assert [np.ndim(x) for x in got] == [0, 0, 0]
+        grid = ground_level(s, lams)
+        assert [x.shape for x in grid] == [(len(lams),)] * 3
+        assert list(zip(*(x.tolist() for x in grid))) == [ground_reference(s, x) for x in lams]
+
+
+def test_ground_level_keeps_the_shape_of_lam():
+    s = analytic_spectrum(Multiplet(8))
+    lams = np.linspace(0.0, 1.5, 12).reshape(3, 4)
+    energy, slope, degeneracy = ground_level(s, lams)
+    assert energy.shape == slope.shape == degeneracy.shape == (3, 4)
+    assert degeneracy.dtype.kind == "i"
+    for idx in np.ndindex(lams.shape):
+        assert (energy[idx], slope[idx], degeneracy[idx]) == ground_level(s, lams[idx])
+    assert [x.shape for x in ground_level(s, [])] == [(0,)] * 3
+
+
+def assert_rows_equal_zero_d(s: Spectrum, lams: np.ndarray) -> None:
+    rows = ground_level(s, lams)
+    for i, lam in enumerate(lams):
+        single = ground_level(s, lam)
+        for got, want in zip(rows, single):
+            # bit for bit, sign of zero included
+            assert got[i] == want and np.signbit(got[i]) == np.signbit(want), (lam, got[i], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=1.0, max_value=3.5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grid_rows_equal_zero_d_ground_level_bitwise(n, blocks, seed):
+    mult = Multiplet(n)
+    s = analytic_spectrum(mult)
+    # a grid several blocks long, with every exact crossing on it
+    length = int(blocks * max(1, model._BLOCK_ELEMENTS // (n + 1)))
+    rng = np.random.default_rng(seed)
+    lams = np.sort(rng.uniform(0.0, 2.0, length))
+    crossings = [cp.lambda_c for cp in critical_couplings(mult)]
+    lams[rng.choice(length, size=min(len(crossings), length), replace=False)] = crossings[:length]
+    assert_rows_equal_zero_d(s, lams)
+
+
+def test_grid_rows_equal_zero_d_ground_level_at_large_n():
+    mult = Multiplet(300000)
+    s = analytic_spectrum(mult)
+    crit = critical_couplings(mult)
+    lams = np.array([0.0, 0.3001, crit[-2].lambda_c, crit[-1].lambda_c, 0.98221818181818177])
+    assert_rows_equal_zero_d(s, lams)
+    assert ground_level(s, lams)[2].tolist() == [1, 1, 2, 2, 1]
 
 
 def test_every_crossing_is_twofold_degenerate():
@@ -225,7 +310,8 @@ def test_every_crossing_is_twofold_degenerate():
         mult = Multiplet(n)
         s = analytic_spectrum(mult)
         for cp in critical_couplings(mult):
-            assert ground_state_energy(s, cp.lambda_c)[1] == [cp.lower_m, cp.upper_m]
+            got = ground_level(s, cp.lambda_c)
+            assert got == named_levels(s, cp.lambda_c, [cp.lower_m, cp.upper_m])
 
 
 def test_no_spurious_degeneracy_at_large_n():
@@ -233,8 +319,8 @@ def test_no_spurious_degeneracy_at_large_n():
     # M = -1 here, yet thousands of ulp away
     s = analytic_spectrum(Multiplet(300000))
     lam = 0.98221818181818177
-    assert ground_state_energy(s, lam)[1] == [-1.0]
-    assert ground_slope(s, lam) == -22499999999.0
+    assert ground_level(s, lam) == named_levels(s, lam, [-1.0])
+    assert ground_level(s, lam)[1] == -22499999999.0
 
 
 @given(
@@ -245,15 +331,16 @@ def test_no_spurious_degeneracy_at_large_n():
 def test_staircase_never_increases(n, a, b):
     lo, hi = min(a, b), max(a, b)
     s = analytic_spectrum(Multiplet(n))
-    assert ground_slope(s, lo) >= ground_slope(s, hi)
+    (e_lo, slope_lo, _), (e_hi, slope_hi, _) = ground_level(s, lo), ground_level(s, hi)
+    assert slope_lo >= slope_hi
     # the slope never turns positive, so the ground energy only descends
-    assert ground_slope(s, hi) <= 0.0
-    assert ground_state_energy(s, lo)[0] >= ground_state_energy(s, hi)[0]
+    assert slope_hi <= 0.0
+    assert e_lo >= e_hi
 
 
 @given(st.integers(min_value=1, max_value=32), st.floats(min_value=0.0, max_value=2.0))
 def test_ground_energy_is_spectrum_min(n, lam):
     s = analytic_spectrum(Multiplet(n))
-    e, ms = ground_state_energy(s, lam)
+    e, _, degeneracy = ground_level(s, lam)
     assert e == float(s.energies(lam).min())
-    assert len(ms) >= 1
+    assert degeneracy >= 1

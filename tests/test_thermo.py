@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from su2qpt import thermo
-from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_slope
+from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import (
     COLUMNS,
@@ -139,8 +139,10 @@ def test_moment_derivatives_match_high_precision_fd(beta, lam):
 
 
 def test_zero_t_c_star_lambda_is_ground_slope():
-    for lam in (0.1, 1 / 3, 0.7, 1.0, 1.3):
-        assert zero_t_c_star_lambda(S4, lam) == ground_slope(S4, lam)
+    lams = (0.1, 1 / 3, 0.7, 1.0, 1.3)
+    for lam in lams:
+        assert zero_t_c_star_lambda(S4, lam) == ground_level(S4, lam)[1]
+    assert zero_t_c_star_lambda(S4, lams).tolist() == [0.0, -1.5, -3.0, -3.5, -4.0]
 
 
 def test_n2_closed_forms_frozen():
