@@ -10,19 +10,12 @@ of locating the ground-state level crossings.
 from .eigensolver import EigenResult, NonConvergenceError, jacobi_eigenvalues
 from .model import (
     CriticalPoint,
-    ModelParams,
     Spectrum,
     analytic_spectrum,
-    build_hamiltonian,
     critical_couplings,
     ground_level,
 )
-from .spin_algebra import (
-    Multiplet,
-    OperatorMatrix,
-    build_j2,
-    build_jz,
-)
+from .spin_algebra import Multiplet
 from .thermo import (
     N2ClosedForms,
     ThermalObservables,
@@ -52,13 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Multiplet",
-    "OperatorMatrix",
-    "build_jz",
-    "build_j2",
-    "ModelParams",
     "Spectrum",
     "CriticalPoint",
-    "build_hamiltonian",
     "analytic_spectrum",
     "critical_couplings",
     "ground_level",

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_algebra import OperatorMatrix
-
 __all__ = ["EigenResult", "NonConvergenceError", "jacobi_eigenvalues"]
 
 
@@ -44,7 +42,7 @@ def jacobi_eigenvalues(a, tol: float | None = None, max_sweeps: int = 30) -> Eig
 
     Parameters
     ----------
-    a : OperatorMatrix or array_like
+    a : array_like
         Square matrix, symmetric to within 1e-12 (relative to its
         largest entry).  A private copy is worked on.
     tol : float, optional
@@ -66,7 +64,7 @@ def jacobi_eigenvalues(a, tol: float | None = None, max_sweeps: int = 30) -> Eig
         If the off-norm is still above tol after max_sweeps; carries the
         partial result.
     """
-    mat = a.entries if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=float)
+    mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square matrix")
     scale = float(np.abs(mat).max()) if mat.size else 0.0

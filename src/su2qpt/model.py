@@ -2,7 +2,9 @@
 
 The Hamiltonian is e_gap*J_z - lam*(J^2 - J_z^2 - N/2).  Both terms are
 diagonal in the working basis, so each eigenenergy is affine in the
-coupling: intercept e_gap*M, slope M^2 - J^2 (never positive).  Adjacent
+coupling: intercept e_gap*M, slope M^2 - J^2 (never positive), and a
+``Spectrum`` of those three arrays is the package's only form of the
+Hamiltonian; ``Spectrum.energies(lam)`` is its diagonal.  Adjacent
 levels cross at the couplings e_gap/(N - (2n-1)); at each of those the
 ground state switches branch, which is where the zero-temperature
 physics turns non-analytic.
@@ -15,14 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spin_algebra
-from .spin_algebra import Multiplet, OperatorMatrix
+from .spin_algebra import Multiplet
 
 __all__ = [
-    "ModelParams",
     "Spectrum",
     "CriticalPoint",
-    "build_hamiltonian",
     "analytic_spectrum",
     "critical_couplings",
     "ground_level",
@@ -47,18 +46,6 @@ _BLOCK_ELEMENTS = 4096
 def _check_e_gap(e_gap: float) -> None:
     if not 0.0 < e_gap < math.inf:
         raise ValueError("e_gap must be positive and finite")
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Input bundle for building the Hamiltonian matrix."""
-
-    multiplet: Multiplet
-    e_gap: float = 1.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        _check_e_gap(self.e_gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,23 +87,6 @@ class CriticalPoint:
     lambda_c: float
     lower_m: float
     upper_m: float
-
-
-def build_hamiltonian(p: ModelParams) -> OperatorMatrix:
-    """Hamiltonian matrix e_gap*J_z - lam*(J^2 - J_z^2 - (N/2)*I).
-
-    Diagonal in this basis; the diagonal reproduces
-    analytic_spectrum(...).energies(lam) bit-exactly because every
-    coefficient is a dyadic rational and both paths round only the final
-    slope*lam product.
-    """
-    m = p.multiplet
-    jz = spin_algebra.build_jz(m).entries
-    j2 = spin_algebra.build_j2(m).entries
-    jz_sq = jz @ jz
-    half_n = m.n_particles / 2
-    h = p.e_gap * jz - p.lam * (j2 - jz_sq - half_n * np.eye(m.dim))
-    return OperatorMatrix(h, m.m_values())
 
 
 def analytic_spectrum(m: Multiplet, e_gap: float = 1.0) -> Spectrum:

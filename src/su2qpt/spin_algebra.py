@@ -2,8 +2,11 @@
 
 All matrices act in the ordered eigenbasis of the z component, quantum
 number M running from -J up to +J, with J = N/2 for N two-level
-particles.  Only the two operators the Hamiltonian is built from are
-provided, J_z and the Casimir J^2; both are diagonal in this basis.
+particles.  J_z and the Casimir J^2 are diagonal there (``m_values`` and
+``casimir`` give them); the one matrix provided is the ladder operator
+J_+, from which J_x = (J_+ + J_+^T)/2 follows.  The model never needs it:
+its Hamiltonian is diagonal, and only the acceptance suite builds a
+non-diagonal form of it, with the quantisation axis turned to x.
 """
 
 from __future__ import annotations
@@ -12,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Multiplet",
-    "OperatorMatrix",
-    "build_jz",
-    "build_j2",
-]
+__all__ = ["Multiplet", "raising"]
 
 
 @dataclass(frozen=True)
@@ -62,44 +60,8 @@ class Multiplet:
         return -self.j + np.arange(self.dim)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense real operator together with its basis labels (ascending M).
-
-    The entries are copied and frozen on construction so instances can be
-    shared across concurrent callers.
-    """
-
-    entries: np.ndarray
-    m_values: np.ndarray
-
-    def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
-        m = np.array(self.m_values, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must form a square matrix")
-        if m.shape != (e.shape[0],):
-            raise ValueError("basis labels must match the matrix dimension")
-        e.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "m_values", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def is_symmetric(self) -> bool:
-        """Bit-exact symmetry check, no tolerance."""
-        return bool(np.array_equal(self.entries, self.entries.T))
-
-
-def build_jz(m: Multiplet) -> OperatorMatrix:
-    """Diagonal z component, entries -J, -J+1, ..., +J."""
-    ms = m.m_values()
-    return OperatorMatrix(np.diag(ms), ms)
-
-
-def build_j2(m: Multiplet) -> OperatorMatrix:
-    """Quadratic Casimir J(J+1) times the identity."""
-    return OperatorMatrix(m.casimir * np.eye(m.dim), m.m_values())
+def raising(m: Multiplet) -> np.ndarray:
+    """J_+ in the ascending-M basis: amplitude sqrt(J(J+1) - M(M+1)) one
+    place below the diagonal, the position [J_z, J_+] = +J_+ pins."""
+    below = m.m_values()[:-1]
+    return np.diag(np.sqrt(m.casimir - below * (below + 1.0)), k=-1)

@@ -22,6 +22,21 @@ def test_criterion_2_eigenvalue_lists():
     _report(2, validation.check_eigenvalue_lists())
 
 
+def test_criterion_2_oracle_rotates(monkeypatch):
+    # a diagonal input would pass with 0 sweeps, only sorted: no oracle
+    results = []
+    solve = validation.jacobi_eigenvalues
+
+    def recording(a, *args, **kwargs):
+        results.append(solve(a, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(validation, "jacobi_eigenvalues", recording)
+    assert validation.check_eigenvalue_lists().passed
+    assert len(results) == 12
+    assert all(r.sweeps_used >= 1 for r in results)
+
+
 def test_criterion_3_n2_exact_transition():
     _report(3, validation.check_n2_transition())
 

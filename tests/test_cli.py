@@ -131,8 +131,12 @@ def test_cli_import_leaves_mpmath_unloaded():
             ["critical", "--n", "2", "--method", "ceq"],
             [("thermo.ceq_scaled_residual", "transitions.qpt_from_ceq")],
         ),
+        (
+            ["validate", "--quick"],
+            [("eigensolver.jacobi_eigenvalues", "validation.check_eigenvalue_lists")],
+        ),
     ],
-    ids=["spectrum", "sweep", "critical", "ceq"],
+    ids=["spectrum", "sweep", "critical", "ceq", "validate"],
 )
 def test_benchmark_tracer_hooks_resolve(tmp_path, args, expected):
     # the benchmark's tracer wraps functions by the names it looks up and

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from su2qpt import model
 from su2qpt.model import (
     DEGENERACY_RTOL,
-    ModelParams,
     Spectrum,
     analytic_spectrum,
-    build_hamiltonian,
     critical_couplings,
     ground_level,
 )
-from su2qpt.spin_algebra import Multiplet, build_jz
+from su2qpt.spin_algebra import Multiplet
 
 
 def pairs(s: Spectrum):
@@ -120,48 +118,9 @@ def test_spectrum_accessors():
     assert np.array_equal(s.energies(0.5), [-2.0, -2.5, -2.0, -0.5, 2.0])
 
 
-def test_build_hamiltonian_frozen_n4():
-    h = build_hamiltonian(ModelParams(multiplet=Multiplet(4), lam=0.5))
-    assert np.array_equal(h.entries, np.diag([-2.0, -2.5, -2.0, -0.5, 2.0]))
-
-
-def test_hamiltonian_pieces_commute_exactly():
-    m = Multiplet(6)
-    h0 = build_hamiltonian(ModelParams(multiplet=m, lam=0.0))
-    h = build_hamiltonian(ModelParams(multiplet=m, lam=0.8))
-    a, b, jz = h0.entries, h.entries, build_jz(m).entries
-    assert np.array_equal(a @ b - b @ a, np.zeros((7, 7)))
-    assert np.array_equal(b @ jz - jz @ b, np.zeros((7, 7)))
-
-
-@given(
-    st.integers(min_value=1, max_value=32),
-    st.integers(min_value=0, max_value=49),
-)
-def test_hamiltonian_diagonal_equals_spectrum_bitwise(n, k):
-    # both paths round only the final slope*lam product, so the match
-    # is exact, not approximate
-    lam = k * (2.0 / 49.0)
-    mult = Multiplet(n)
-    h = build_hamiltonian(ModelParams(multiplet=mult, lam=lam))
-    s = analytic_spectrum(mult)
-    assert np.array_equal(np.diag(h.entries), s.energies(lam))
-    off = h.entries - np.diag(np.diag(h.entries))
-    assert np.array_equal(off, np.zeros_like(off))
-
-
-def test_model_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(multiplet=Multiplet(2), e_gap=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(multiplet=Multiplet(2), e_gap=-1.0)
-
-
 @pytest.mark.parametrize("e_gap", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_e_gap_must_be_finite_and_positive(e_gap):
     # an infinite gap would turn the intercepts and couplings into inf/nan
-    with pytest.raises(ValueError, match="positive and finite"):
-        ModelParams(multiplet=Multiplet(2), e_gap=e_gap)
     with pytest.raises(ValueError, match="positive and finite"):
         analytic_spectrum(Multiplet(4), e_gap)
     with pytest.raises(ValueError, match="positive and finite"):
