@@ -411,7 +411,12 @@ def _jumps_block(cfg: RunConfig, s, crit) -> dict:
     plateaus = []
     if jumps:
         plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
-    deltas = [min(abs(j.lam - c) for c in lams_c) for j in jumps]
+    # each jump's nearest crossing is one of its two neighbours in the sorted
+    # list; the infinities stand in for a missing neighbour
+    c = np.array([-np.inf, *lams_c, np.inf])
+    lam_j = np.array([j.lam for j in jumps])
+    k = np.searchsorted(c, lam_j)
+    deltas = np.minimum(lam_j - c[k - 1], c[k] - lam_j)
     return {
         "window": list(window),
         "jumps": [
@@ -424,7 +429,7 @@ def _jumps_block(cfg: RunConfig, s, crit) -> dict:
             for j in jumps
         ],
         "plateaus": plateaus,
-        "max_distance_to_analytic": max(deltas) if deltas else None,
+        "max_distance_to_analytic": float(deltas.max()) if deltas.size else None,
     }
 
 

@@ -127,17 +127,23 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
     return points
 
 
+def _excitations(s: Spectrum, lam: np.ndarray):
+    """Excitations e - e_min (levels on a new last axis) and the ground energy e_min."""
+    # in place: at large N each fresh level-sized temporary costs measurably
+    d = s.slopes * lam[..., None]
+    d += s.intercepts
+    e_min = np.minimum.reduce(d, axis=-1)
+    d -= e_min[..., None]
+    return d, e_min
+
+
 def _ground(s: Spectrum, lam: np.ndarray):
     """Ground energy, mean ground slope and degeneracy at every point of lam."""
-    # in place: at large N each fresh level-sized temporary costs measurably
-    e = s.slopes * lam[..., None]
-    e += s.intercepts
-    e_min = np.minimum.reduce(e, axis=-1)
+    d, e_min = _excitations(s, lam)
     tol = DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
-    e -= e_min[..., None]
     # a flat index runs point-major, so each point's ground levels form one
     # run in level order; bincount counts them and sums their slopes
-    point, level = np.divmod(np.flatnonzero(e <= tol[..., None]), s.slopes.size)
+    point, level = np.divmod(np.flatnonzero(d <= tol[..., None]), s.slopes.size)
     degeneracy = np.bincount(point, minlength=lam.size).reshape(lam.shape)
     slope_sum = np.bincount(point, s.slopes[level], lam.size).reshape(lam.shape)
     return e_min, slope_sum / degeneracy, degeneracy

@@ -113,12 +113,12 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
     # Excitations d_i = e_i - e_min and their Boltzmann weights.  The
     # shift keeps every exponent non-positive, so the weights live in
     # (0, 1] and their sum in [1, dim] no matter how large beta gets.
-    e = s.intercepts + s.slopes * lam[..., None]
-    e_min = np.minimum.reduce(e, axis=-1)
-    d = e - e_min[..., None]
-    w = np.exp(-beta * d)
+    # Level-sized arrays are updated in place wherever a value is not
+    # read again: at large N each fresh temporary costs measurably.
+    d, e_min = model._excitations(s, lam)
+    w = -beta * d
+    np.exp(w, out=w)
     w_sum = np.add.reduce(w, axis=-1)
-    p = w / w_sum[..., None]
     # ln(shifted Z) = log1p(w_sum - 1), with w_sum - 1 formed as the
     # weights of exactly 1 beyond the first (the rest of a degenerate
     # ground level, or every level at beta = 0) plus the excited weights,
@@ -127,14 +127,18 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
     # ones to within a few ulp, so rint recovers it exactly.
     w_excited = np.vecdot(w, w < 1.0)
     log_w_sum = np.log1p(np.rint(w_sum - w_excited) - 1.0 + w_excited)
+    p = w
+    p /= w_sum[..., None]
 
     delta = np.vecdot(p, d)  # mean excitation above the ground level
-    centered = d - delta[..., None]
-    var = np.vecdot(p, centered * centered)
-
+    centered = np.subtract(d, delta[..., None], out=d)
     slopes = s.slopes
     mean_slope = np.vecdot(p, slopes)
-    cov = np.vecdot(p, centered * (slopes - mean_slope[..., None]))
+    product = slopes - mean_slope[..., None]
+    product *= centered
+    cov = np.vecdot(p, product)
+    centered *= centered
+    var = np.vecdot(p, centered)
 
     columns = (
         -beta * e_min + log_w_sum,  # log_z

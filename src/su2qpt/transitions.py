@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import thermo
-from .model import CriticalPoint, Spectrum
+from .model import DEGENERACY_RTOL, CriticalPoint, Spectrum, _excitations
 
 __all__ = [
     "PeakEstimate",
@@ -89,11 +89,15 @@ class CeqSearchResult:
 
 
 def _golden_min(f, a: float, b: float, xtol: float) -> float:
-    """Golden-section minimizer for a unimodal f on [a, b]."""
+    """Golden-section minimizer for a unimodal f on [a, b].
+
+    Stops at xtol, or once the probes no longer fit strictly inside the
+    bracket (neighbouring large floats can be farther apart than xtol).
+    """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    while b - a > xtol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -109,10 +113,12 @@ def _bisect(inside, a: float, b: float, xtol: float) -> tuple[float, float]:
     """Shrink a bracket whose end a is inside and whose end b is not.
 
     b may lie on either side of a.  Returns the final (inside, outside)
-    pair, at most xtol apart.
+    pair, at most xtol apart or else neighbouring floats.
     """
     while abs(b - a) > xtol:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         if inside(mid):
             a = mid
         else:
@@ -274,14 +280,17 @@ def detect_jumps(
 ) -> list[JumpPoint]:
     """Discontinuities of the zero-temperature slope staircase.
 
-    The staircase is sampled on a uniform grid; cells where it moves are
-    merged into regions (a grid point landing exactly on a crossing
-    reports the averaged value and splits one jump across two cells),
-    and each region is refined by bisection to a coupling resolution of
-    1e-10, then polished to the exact intersection of the two crossing
-    levels.  Regions holding several jumps, as happens on coarse grids,
-    are peeled left to right.  Only jumps whose plateau gap exceeds the
-    threshold are returned.
+    Every level is a line in the coupling, so the ground energy is their
+    lower envelope and each jump is a vertex of it.  The staircase is
+    sampled on a uniform grid and cells where it moves are merged into
+    regions (a grid point landing exactly on a crossing reports the
+    averaged value and splits one jump across two cells).  Each region
+    is walked along the envelope: from the ground level at its left end,
+    the next vertex is the nearest exact crossing with a steeper level,
+    taken while it lies inside the region.  Of levels tied at the left
+    end the walk starts on the shallowest, and at a vertex it steps to
+    the steepest, so a crossing of several levels is one jump.  Only
+    jumps whose plateau gap exceeds the threshold are returned.
     """
     if not jump_threshold > 0:
         raise ValueError("jump_threshold must be positive")
@@ -289,63 +298,35 @@ def detect_jumps(
     def zt(x):
         return thermo.zero_t_c_star_lambda(s, x)
 
-    # one kernel call for the scan; the bisection probes are its 0-d case
     grid, g = _scan(zt, lambda_range, grid_points)
     # half the threshold so a split jump flags both of its cells
     flagged = np.abs(np.diff(g)) >= 0.5 * jump_threshold
-
-    def plateau_tol(value: float) -> float:
-        return 1e-9 * max(1.0, abs(value))
 
     jumps: list[JumpPoint] = []
     # each run of flagged cells i..j-1 is one region, from grid point i to j
     runs = np.flatnonzero(np.diff(np.concatenate(([0], flagged.astype(np.int8), [0]))))
     for i, j in runs.reshape(-1, 2):
-        a, b, ga, gb = float(grid[i]), float(grid[j]), float(g[i]), float(g[j])
-        if not abs(gb - ga) > jump_threshold:
+        a, b, left = float(grid[i]), float(grid[j]), float(g[i])
+        if not abs(float(g[j]) - left) > jump_threshold:
             continue
-        # peel plateau changes off (a, b) left to right until the right
-        # plateau gb is reached
+        d, e_min = _excitations(s, np.asarray(a))
+        tied = np.flatnonzero(d <= DEGENERACY_RTOL * max(1.0, abs(e_min)))
+        k = tied[np.argmax(s.slopes[tied])]
         while True:
-            lo_, hi_ = _bisect(lambda x: abs(zt(x) - ga) <= plateau_tol(ga), a, b, xtol=1e-10)
-            lam_star = _polish_crossing(s, lo_, hi_)
-            probe = hi_ + 1e-8 * max(1.0, abs(hi_))
-            right_value = float(zt(probe))
-            jumps.append(
-                JumpPoint(
-                    lam=lam_star,
-                    left_value=ga,
-                    right_value=right_value,
-                    midpoint_value=float(zt(lam_star)),
-                )
-            )
-            if not (probe < b and abs(right_value - gb) > plateau_tol(gb)):
+            steeper = np.flatnonzero(s.slopes < s.slopes[k])
+            rise = s.intercepts[steeper] - s.intercepts[k]
+            vertices = rise / (s.slopes[k] - s.slopes[steeper])
+            lam = float(vertices.min(initial=math.inf))
+            if lam > b:
                 break
-            a, ga = probe, right_value
+            at = steeper[vertices == lam]
+            k = at[np.argmin(s.slopes[at])]
+            right = float(s.slopes[k])
+            jumps.append(JumpPoint(lam, left, right, midpoint_value=float(zt(lam))))
+            left = right
 
-    jumps.sort(key=lambda jp: jp.lam)
+    # regions run left to right and each walk moves right, so jumps come sorted
     return [jp for jp in jumps if abs(jp.left_value - jp.right_value) > jump_threshold]
-
-
-def _polish_crossing(s: Spectrum, lo: float, hi: float) -> float:
-    """Exact intersection of the two levels that swap ground status in [lo, hi].
-
-    Bisection alone stops at 1e-10; intersecting the two affine levels
-    recovers the crossing to full precision (the paired intercepts and
-    slopes are exact).
-    """
-    i = int(np.argmin(s.energies(lo)))
-    e_hi = np.array(s.energies(hi))
-    e_hi[i] = np.inf  # the new ground level must differ from the old one
-    j = int(np.argmin(e_hi))
-    denom = s.slopes[i] - s.slopes[j]
-    mid = 0.5 * (lo + hi)
-    if denom == 0.0:
-        return mid
-    lam = float((s.intercepts[j] - s.intercepts[i]) / denom)
-    if abs(lam - mid) > 1e-6 * max(1.0, abs(mid)):
-        return mid
-    return lam
 
 
 def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257) -> CeqSearchResult:

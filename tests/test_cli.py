@@ -459,6 +459,31 @@ class TestCritical:
         assert abs(got[0] - 1 / 3) <= 1e-9 and abs(got[1] - 1.0) <= 1e-9
         assert doc["jumps"]["plateaus"] == [0.0, -3.0, -4.0]
 
+    def test_max_distance_to_analytic_is_the_nearest_crossing(self, capsys):
+        # at e_gap = 0.37 some jumps sit an ulp off their crossing, so a
+        # one-sided neighbour would read a whole crossing spacing
+        cases = (["--n", "33", "--e-gap", "0.37"], ["--n", "8", "--lambda-grid", "0.15:0.5:40"])
+        for argv in cases:
+            rc, out, _ = run(["critical", *argv, "--method", "jumps"], capsys)
+            assert rc == 0
+            doc = json.loads(out)
+            crit = [cp["lambda_c"] for cp in doc["analytic"]]
+            want = max(min(abs(j["lambda"] - c) for c in crit) for j in doc["jumps"]["jumps"])
+            assert doc["jumps"]["max_distance_to_analytic"] == want
+
+    @pytest.mark.parametrize("method", ["peaks", "jumps"])
+    def test_large_couplings_terminate(self, method):
+        # at e_gap = 1e6 the refinement brackets reach couplings whose float
+        # spacing exceeds their xtol; they must stop there rather than spin
+        argv = ["critical", "--n", "4", "--e-gap", "1e6", "--method", method]
+        proc = subprocess.run(
+            [sys.executable, "-m", "su2qpt.cli", *argv, "--beta", "1e-4,2e-4,3e-4"],
+            capture_output=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_ceq_n2(self, capsys):
         rc, out, _ = run(["critical", "--n", "2", "--method", "ceq", "--beta", "200"], capsys)
         assert rc == 0

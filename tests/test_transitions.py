@@ -1,14 +1,19 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from su2qpt.model import analytic_spectrum, critical_couplings
+from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
     CSV_HEADER,
     SweepTable,
+    _bisect,
+    _golden_min,
     detect_jumps,
     find_peaks,
     phase_diagram,
@@ -226,6 +231,33 @@ class TestDetectJumps:
         assert len(jumps) == len(want) == 1050
         assert all(abs(jp.lam - lam_c) <= 1e-9 for jp, lam_c in zip(jumps, want))
 
+    def test_triple_crossing_is_one_jump(self):
+        # three levels meet at lam = 1; the walk steps straight to the steepest
+        s = Spectrum([0, 1, 2], [0, 1, 2], [0, -1, -2])
+        jumps = detect_jumps(s, (0.0, 2.0), 512)
+        assert [astuple(j) for j in jumps] == [(1.0, 0.0, -2.0, -1.0)]
+
+    def test_descending_levels_window_starts_on_crossing(self):
+        # at the window's left end the walk starts on the shallower of the
+        # two tied levels, whatever the level order
+        s = Spectrum(S8.m_values[::-1], S8.intercepts[::-1], S8.slopes[::-1])
+        jumps = detect_jumps(s, (1 / 3, 1.4), 512)
+        assert [(j.left_value, j.right_value) for j in jumps] == [(-13.5, -15.0), (-15.0, -16.0)]
+        assert abs(jumps[0].lam - 1 / 3) <= 1e-15
+        assert jumps[1].lam == 1.0
+
+    @given(st.integers(2, 400), st.floats(0.1, 10.0), st.integers(16, 600))
+    def test_every_crossing_once_with_exact_plateaus(self, n, e_gap, grid_points):
+        m = Multiplet(n)
+        crit = critical_couplings(m, e_gap)
+        jumps = detect_jumps(analytic_spectrum(m, e_gap), (0.0, 1.2 * crit[-1].lambda_c), grid_points)
+        assert len(jumps) == len(crit)
+        for jp, cp in zip(jumps, crit):
+            assert abs(jp.lam - cp.lambda_c) <= 1e-12 * cp.lambda_c
+        plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
+        want = [crit[0].lower_m**2 - m.j**2] + [cp.upper_m**2 - m.j**2 for cp in crit]
+        assert plateaus == want
+
     def test_no_jumps_inside_a_plateau(self):
         assert detect_jumps(S4, (0.4, 0.9), 128) == []
 
@@ -234,6 +266,20 @@ class TestDetectJumps:
             detect_jumps(S4, (1.0, 0.0), 512)
         with pytest.raises(ValueError):
             detect_jumps(S4, (0.0, 1.4), 8)
+
+
+class TestRefinementTermination:
+    # above about 5.2e5 neighbouring floats sit more than 1e-10 apart, and
+    # above about 6.7e7 more than 1e-8, so neither bracket can shrink to xtol
+    def test_bisect_stops_at_neighbouring_floats(self):
+        a, b = _bisect(lambda x: x < 7e5, 6e5, 8e5, 1e-10)
+        assert a < 7e5 <= b
+        assert b == np.nextafter(a, math.inf)
+
+    def test_golden_min_stops_when_probes_collide(self):
+        target = 1e8 + 0.3
+        x = _golden_min(lambda x: (x - target) ** 2, 1e8 - 1.0, 1e8 + 1.0, xtol=1e-8)
+        assert abs(x - target) <= 1e-7
 
 
 class TestCeqSearch:
