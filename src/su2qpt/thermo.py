@@ -79,8 +79,8 @@ class ThermalObservables:
 
 
 def _check_beta(beta: float) -> None:
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be non-negative and finite")
 
 
 # The columns of ``observables_grid``, in the order of the ``sweep`` CSV.
@@ -268,7 +268,7 @@ def ceq_scaled_residual(xi: float, beta: float) -> float:
     from finite-temperature data alone.
     """
     _check_beta(beta)
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError("xi must be non-negative")
     m = max(1.0, xi)
     t_const = 4.0 * math.exp(-2.0 * beta * m)

@@ -88,42 +88,48 @@ class CeqSearchResult:
     residual: float
 
 
-def _golden_min(f, a: float, b: float, xtol: float) -> float:
-    """Golden-section minimizer for a unimodal f on [a, b].
+def _golden_min(f, a, b, xtol: float) -> np.ndarray:
+    """Golden-section minimizer for a unimodal f on each bracket [a, b].
 
-    Stops at xtol, or once the probes no longer fit strictly inside the
-    bracket (neighbouring large floats can be farther apart than xtol).
+    Arrays of brackets (a scalar is the 0-d case) step in lockstep, one f
+    call on all probes per step, and each stops at xtol, or once its
+    probes no longer fit strictly inside it (neighbouring large floats
+    can be farther apart than xtol); a stopped bracket's probes are discarded.
     """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+    live = (b - a > xtol) & (a < c) & (c < d) & (d < b)
+    while live.any():
+        left = fc < fd  # the minimum lies in [a, d]
+        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        f_new = f(new)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+        live &= (b - a > xtol) & (a < c) & (c < d) & (d < b)
     return 0.5 * (a + b)
 
 
-def _bisect(inside, a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Shrink a bracket whose end a is inside and whose end b is not.
+def _bisect(inside, a, b, xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink brackets whose ends a are inside and whose ends b are not.
 
-    b may lie on either side of a.  Returns the final (inside, outside)
-    pair, at most xtol apart or else neighbouring floats.
+    Arrays of brackets (a scalar is the 0-d case) shrink in lockstep, one
+    ``inside`` call on all midpoints per step; b may lie on either side of
+    a.  Returns the final (inside, outside) pairs, each at most xtol apart
+    or else neighbouring floats.
     """
-    while abs(b - a) > xtol:
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = True  # a stopped bracket stays stopped and its answers are discarded
+    while True:
         mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if inside(mid):
-            a = mid
-        else:
-            b = mid
-    return a, b
+        live = live & (abs(b - a) > xtol) & (mid != a) & (mid != b)
+        if not live.any():
+            return a, b
+        is_in = inside(mid)
+        a, b = np.where(live & is_in, mid, a), np.where(live & ~is_in, mid, b)
 
 
 def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +148,8 @@ def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pointwise(f):
-    """f applied to each point of a grid, as a function of the grid."""
-    return lambda grid: np.array([f(x) for x in grid])
+    """f applied to each point of a grid of any shape, as a function of the grid."""
+    return lambda grid: np.array([f(x) for x in np.ravel(grid)]).reshape(np.shape(grid))
 
 
 def _interior_maxima(y: np.ndarray) -> np.ndarray:
@@ -157,14 +163,14 @@ def find_peaks(
     """Local maxima of |d<E>/d(beta)| on a coupling window, refined.
 
     Scans the magnitude (equal to the energy variance) on a uniform
-    grid, keeps the strict interior local maxima, and polishes each one
-    by golden-section search to a coupling resolution of 1e-8.  The
-    width is the full width at half maximum, found by bisecting the
-    half-height crossings on both flanks (clamped at the window edge if
+    grid, keeps the strict interior local maxima, and polishes them all
+    together by golden-section search, one bracket of two grid cells per
+    maximum, to a coupling resolution of 1e-8.  The width is the full
+    width at half maximum, found by bisecting the half-height crossings
+    on both flanks of every peak together (clamped at the window edge if
     a flank never drops that far).  Maxima below ``_PEAK_FLOOR`` times
-    the largest sample are float noise and are skipped.  The scan is one
-    ``thermo.observables_grid`` call; the refinement evaluates one point
-    at a time.
+    the largest sample are float noise and are skipped.  The scan and
+    each refinement step are one ``thermo.observables_grid`` call.
 
     Returns an empty list when no interior maximum exists, e.g. when
     beta is too small and the remnant structure is washed out.
@@ -172,24 +178,19 @@ def find_peaks(
     if not beta > 0:
         raise ValueError("beta must be positive")
 
-    def var_at(x: float) -> float:
-        return thermo.observables(s, beta, x).energy_variance
-
     def var_on(grid: np.ndarray) -> np.ndarray:
         return -thermo.observables_grid(s, beta, grid)[:, _C_STAR_BETA]
 
     grid, y = _scan(var_on, lambda_range, grid_points)
     maxima = _interior_maxima(y)
-    peaks: list[PeakEstimate] = []
-    for i in maxima[y[maxima] > _PEAK_FLOOR * y.max()]:
-        lam_star = _golden_min(
-            lambda x: -var_at(x), float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8
-        )
-        height = var_at(lam_star)
-        width = _fwhm(var_at, grid, y, i, lam_star, height)
-        peaks.append(
-            PeakEstimate(lambda_at_peak=lam_star, height=height, width=width, beta=beta)
-        )
+    top = maxima[y[maxima] > _PEAK_FLOOR * y.max()]
+    if not top.size:
+        return []
+    lam_star = _golden_min(lambda x: -var_on(x), grid[top - 1], grid[top + 1], xtol=1e-8)
+    height = var_on(lam_star)
+    width = _fwhm(var_on, grid, y, top, lam_star, height)
+    rows = zip(lam_star.tolist(), height.tolist(), width.tolist())
+    peaks = [PeakEstimate(lam, h, w, beta) for lam, h, w in rows]
 
     # a flat-topped maximum sampled twice refines to the same point; keep one
     deduped: list[PeakEstimate] = []
@@ -202,31 +203,28 @@ def find_peaks(
     return deduped
 
 
-def _fwhm(var_at, grid, y, i_peak: int, lam_star: float, height: float) -> float:
+def _fwhm(var_on, grid, y, top, lam_star, height) -> np.ndarray:
+    """Full widths at half maximum of the peaks at samples top, refined to lam_star."""
     half = 0.5 * height
-
-    def above_half(x: float) -> bool:
-        return var_at(x) >= half
-
-    def flank(step: int) -> float:
-        k = i_peak
-        if y[k] < half:
-            # a peak narrower than the grid has its top sample below half
-            # height already: bisect from the refined top to the first
-            # sample past it
-            past = k if (grid[k] - lam_star) * step > 0 else k + step
-            a, b = _bisect(above_half, lam_star, float(grid[past]), xtol=1e-10)
-            return 0.5 * (a + b)
-        # walk the samples away from the peak while they stay at or above
-        # half height, then bisect the cell where they drop below it
-        while 0 <= k + step < len(grid) and y[k + step] >= half:
-            k += step
-        if not 0 <= k + step < len(grid):
-            return float(grid[k])  # the flank never drops that far: clamp
-        a, b = _bisect(above_half, float(grid[k]), float(grid[k + step]), xtol=1e-10)
-        return 0.5 * (a + b)
-
-    return flank(+1) - flank(-1)
+    ends = []  # (inside, outside) per flank, left flanks first
+    for step in (-1, +1):
+        for k, lam, h in zip(top, lam_star, half):
+            if y[k] < h:
+                # a peak narrower than the grid has its top sample below half
+                # height already: bisect from the refined top to the first
+                # sample past it
+                ends.append((lam, grid[k if (grid[k] - lam) * step > 0 else k + step]))
+                continue
+            # walk the samples away from the peak while they stay at or above
+            # half height, then bisect the cell where they drop below it (a
+            # zero-width bracket at the window edge if they never do: clamp)
+            while 0 <= k + step < len(grid) and y[k + step] >= h:
+                k += step
+            ends.append((grid[k], grid[min(max(k + step, 0), len(grid) - 1)]))
+    halves = np.tile(half, 2)
+    a, b = _bisect(lambda x: var_on(x) >= halves, *np.array(ends).T, xtol=1e-10)
+    flank = 0.5 * (a + b)
+    return flank[top.size :] - flank[: top.size]
 
 
 def track_peaks_to_zero_t(
@@ -302,7 +300,7 @@ def detect_jumps(
     # half the threshold so a split jump flags both of its cells
     flagged = np.abs(np.diff(g)) >= 0.5 * jump_threshold
 
-    jumps: list[JumpPoint] = []
+    found: list[tuple[float, float, float]] = []  # (lam, left, right)
     # each run of flagged cells i..j-1 is one region, from grid point i to j
     runs = np.flatnonzero(np.diff(np.concatenate(([0], flagged.astype(np.int8), [0]))))
     for i, j in runs.reshape(-1, 2):
@@ -322,11 +320,13 @@ def detect_jumps(
             at = steeper[vertices == lam]
             k = at[np.argmin(s.slopes[at])]
             right = float(s.slopes[k])
-            jumps.append(JumpPoint(lam, left, right, midpoint_value=float(zt(lam))))
+            found.append((lam, left, right))
             left = right
 
     # regions run left to right and each walk moves right, so jumps come sorted
-    return [jp for jp in jumps if abs(jp.left_value - jp.right_value) > jump_threshold]
+    kept = [v for v in found if abs(v[1] - v[2]) > jump_threshold]
+    midpoints = zt(np.array([v[0] for v in kept])).tolist()
+    return [JumpPoint(*v, midpoint_value=mid) for v, mid in zip(kept, midpoints)]
 
 
 def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257) -> CeqSearchResult:
@@ -361,14 +361,14 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
         left_hump, right_hump = sorted(sorted(maxima, key=lambda i: vals[i])[-2:])
         a, b = float(grid[left_hump]), float(grid[right_hump])
         if a < 1.0 < b:
-            xi = _golden_min(f, a, b, xtol=1e-8)
-            return CeqSearchResult(xi=float(xi), converged=True, residual=float(f(xi)))
+            xi = float(_golden_min(_pointwise(f), a, b, xtol=1e-8))
+            return CeqSearchResult(xi=xi, converged=True, residual=float(f(xi)))
 
     i = int(np.argmin(vals))
     if i == 0 or i == len(grid) - 1:
         return CeqSearchResult(xi=float(grid[i]), converged=False, residual=float(vals[i]))
-    xi = _golden_min(f, float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8)
-    return CeqSearchResult(xi=float(xi), converged=True, residual=float(f(xi)))
+    xi = float(_golden_min(_pointwise(f), float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8))
+    return CeqSearchResult(xi=xi, converged=True, residual=float(f(xi)))
 
 
 CSV_HEADER = ",".join(thermo.COLUMNS)

@@ -123,7 +123,7 @@ def test_cli_import_leaves_mpmath_unloaded():
         (
             ["critical", "--n", "4"],
             [
-                ("thermo.observables", "transitions.find_peaks"),
+                ("thermo.observables_grid", "transitions.find_peaks"),
                 ("thermo.zero_t_c_star_lambda", "transitions.detect_jumps"),
             ],
         ),

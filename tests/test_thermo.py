@@ -17,6 +17,7 @@ from su2qpt.thermo import (
     observables_grid,
     zero_t_c_star_lambda,
 )
+from su2qpt.transitions import find_peaks
 
 S2 = analytic_spectrum(Multiplet(2))
 S4 = analytic_spectrum(Multiplet(4))
@@ -38,6 +39,40 @@ def test_negative_beta_rejected():
         observables(S4, -0.1, 0.0)
     with pytest.raises(ValueError):
         observables(S4, -1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (observables, (S4, math.nan, 0.5)),
+        (observables, (S4, math.inf, 0.5)),
+        (observables_grid, (S4, math.nan, [0.5, 1.0])),
+        (observables_grid, (S4, math.inf, [0.5, 1.0])),
+        (ceq_scaled_residual, (0.9, math.nan)),
+        (ceq_scaled_residual, (0.9, math.inf)),
+        (ceq_scaled_residual, (math.nan, 10.0)),
+        (n2_closed_forms, (0.9, math.nan)),
+        (n2_closed_forms, (0.9, math.inf)),
+        (find_peaks, (S4, math.inf, (0.02, 1.4))),
+    ],
+    ids=[
+        "observables-nan",
+        "observables-inf",
+        "grid-nan",
+        "grid-inf",
+        "ceq-nan",
+        "ceq-inf",
+        "ceq-xi-nan",
+        "n2-nan",
+        "n2-inf",
+        "find_peaks-inf",
+    ],
+)
+def test_non_finite_beta_and_xi_rejected(entry, args):
+    # a NaN or infinite beta (or a NaN xi) would give NaN results, or inf*0
+    # warnings, instead of an error
+    with pytest.raises(ValueError):
+        entry(*args)
 
 
 def test_occupations_module_level():

@@ -3,9 +3,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2qpt import thermo
 from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
@@ -107,6 +108,33 @@ class TestFindPeaks:
         assert abs((lams[0] + lams[1]) / 2.0 - 0.25) <= 1e-6
         assert abs((lams[2] + lams[3]) / 2.0 - 0.5) <= 1e-6
 
+    def test_refinement_never_calls_scalar_observables(self, monkeypatch):
+        # the scan and every refinement probe go through observables_grid
+        def scalar(*args):
+            raise AssertionError("find_peaks called thermo.observables")
+
+        monkeypatch.setattr(thermo, "observables", scalar)
+        assert len(find_peaks(S8, 110.0, (0.02, 1.4))) == 8
+
+    @given(
+        st.integers(2, 32),
+        st.floats(0.1, 10.0),
+        st.floats(5.0, 1e3),
+        st.integers(16, 1024),
+        st.data(),
+    )
+    @settings(max_examples=40)
+    def test_lockstep_refinement_equals_one_search_per_peak(self, n, e_gap, beta, points, data):
+        # one window edge falls among the remnant peaks of a crossing (they
+        # sit about 2.4/(beta*slope gap) from it), so windows often cut a flank
+        crit = [cp.lambda_c for cp in critical_couplings(Multiplet(n), e_gap)]
+        cut = data.draw(st.sampled_from(crit)) + data.draw(st.floats(-4.0, 4.0)) / beta
+        span = 1.2 * crit[-1]
+        window = (cut - span, cut) if data.draw(st.booleans()) else (cut, cut + span)
+        s = analytic_spectrum(Multiplet(n), e_gap)
+        got = [(p.lambda_at_peak, p.height, p.width) for p in find_peaks(s, beta, window, points)]
+        assert got == _one_search_per_peak(s, beta, window, points)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             find_peaks(S4, 0.0, (0.0, 1.0))
@@ -114,6 +142,83 @@ class TestFindPeaks:
             find_peaks(S4, 10.0, (1.0, 1.0))
         with pytest.raises(ValueError):
             find_peaks(S4, 10.0, (0.0, 1.0), grid_points=8)
+
+
+# The refinement layer as it ran before it was batched, one bracket at a
+# time on Python floats: the references for the lockstep ``_golden_min``
+# and ``_bisect``, which must end each bracket on the same bits.
+def _golden_min_one(f, a, b, xtol):
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol and a < c < d < b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _bisect_one(inside, a, b, xtol):
+    while abs(b - a) > xtol:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if inside(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def _one_search_per_peak(s, beta, window, grid_points):
+    """(lambda*, height, width) of each peak, refined one peak at a time.
+
+    The reference for ``find_peaks``: a scalar golden-section search per
+    maximum and a scalar bisection per flank, every probe one
+    ``observables`` call, as the peak route ran before its refinement was
+    batched.  The batched route must reproduce it bit for bit.
+    """
+
+    def var_at(x):
+        return observables(s, beta, x).energy_variance
+
+    def flank(k, lam_star, half, step):
+        def above_half(x):
+            return var_at(x) >= half
+
+        if y[k] < half:
+            past = k if (grid[k] - lam_star) * step > 0 else k + step
+            return 0.5 * sum(_bisect_one(above_half, lam_star, float(grid[past]), 1e-10))
+        while 0 <= k + step < len(grid) and y[k + step] >= half:
+            k += step
+        if not 0 <= k + step < len(grid):
+            return float(grid[k])
+        return 0.5 * sum(_bisect_one(above_half, float(grid[k]), float(grid[k + step]), 1e-10))
+
+    grid = np.linspace(window[0], window[1], grid_points)
+    y = np.array([var_at(x) for x in grid])
+    peaks = []
+    for i in range(1, grid_points - 1):
+        if y[i - 1] < y[i] > y[i + 1] and y[i] > 1e-12 * y.max():
+            lo, hi = float(grid[i - 1]), float(grid[i + 1])
+            lam = _golden_min_one(lambda x: -var_at(x), lo, hi, 1e-8)
+            height = var_at(lam)
+            half = 0.5 * height
+            peaks.append((lam, height, flank(i, lam, half, +1) - flank(i, lam, half, -1)))
+    deduped = []
+    for pk in sorted(peaks, key=lambda p: p[0]):
+        if deduped and abs(pk[0] - deduped[-1][0]) < 2e-8:
+            if pk[1] > deduped[-1][1]:
+                deduped[-1] = pk
+        else:
+            deduped.append(pk)
+    return deduped
 
 
 class TestTrackPeaks:
@@ -280,6 +385,33 @@ class TestRefinementTermination:
         target = 1e8 + 0.3
         x = _golden_min(lambda x: (x - target) ** 2, 1e8 - 1.0, 1e8 + 1.0, xtol=1e-8)
         assert abs(x - target) <= 1e-7
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-10.0, 10.0), st.floats(1e7, 1e9)), st.floats(1e-9, 10.0)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([1e-10, 1e-8, 1e-3]),
+    )
+    def test_lockstep_brackets_end_as_searches_of_their_own(self, brackets, xtol):
+        # brackets of different widths, some past the point where probes
+        # collide, stop at different steps; a stopped one must stay put
+        a = np.array([lo for lo, _ in brackets])
+        b = a + np.array([w for _, w in brackets])
+
+        def f(x):
+            return (x - 0.3) * (x - 0.3) * (x + 2.0)
+
+        def inside(x):
+            return f(x) < 1.0
+
+        want = [_golden_min_one(f, lo, hi, xtol) for lo, hi in zip(a.tolist(), b.tolist())]
+        assert _golden_min(f, a, b, xtol).tolist() == want
+        want = [_bisect_one(inside, lo, hi, xtol) for lo, hi in zip(a.tolist(), b.tolist())]
+        assert list(zip(*(end.tolist() for end in _bisect(inside, a, b, xtol)))) == want
 
 
 class TestCeqSearch:
