@@ -6,10 +6,11 @@ over a beta x lambda grid), ``zero-t`` (ground-state slope staircase),
 ``validate`` (built-in acceptance suite).
 
 Exit codes: 0 success (every output byte written), 1 usage or
-validation error, or a reader that closed stdout early, 2 numerical
-non-convergence.  Grid arguments accept ``start:stop:count`` (inclusive,
-exactly count points), a comma list, or a single value.  An optional
-JSON config file supplies defaults; explicit flags win.
+validation error, an overflowing value, or a reader that closed stdout
+early, 2 numerical non-convergence.  Grid arguments accept
+``start:stop:count`` (inclusive, exactly count points), a comma list, or
+a single value.  An optional JSON config file supplies defaults;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -186,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument(
         "--beta",
         default=None,
-        help="beta schedule for peak tracking (needs >= 3 values) or the "
-        "single beta for the n=2 residual search",
+        help="beta schedule for peak tracking (needs >= 3 values); the n=2 "
+        "residual search runs at its largest value",
     )
     cr.add_argument(
         "--lambda-grid",
         dest="lambda_grid",
         default=None,
-        help="override the scan window and density (a:b:k)",
+        help="override the routes' window; its count sets the scan density (a:b:k)",
     )
 
     va = sub.add_parser("validate", help="run the built-in acceptance suite")
@@ -367,21 +368,24 @@ def cmd_zero_t(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _window(cfg: RunConfig, default_window, default_points: int) -> tuple[tuple, int]:
-    """A route's scan window and density: --lambda-grid's ends and size, else the defaults."""
-    if cfg.lambda_grid is None:
-        return default_window, default_points
-    window = (float(cfg.lambda_grid[0]), float(cfg.lambda_grid[-1]))
-    return window, max(len(cfg.lambda_grid), 16)
+def _window(cfg: RunConfig, default_window) -> tuple:
+    """A route's window: --lambda-grid's ends, else the default."""
+    grid = cfg.lambda_grid
+    return default_window if grid is None else (float(grid[0]), float(grid[-1]))
+
+
+def _grid_points(cfg: RunConfig, default_points: int) -> int:
+    """A scanning route's density: --lambda-grid's size (at least 16), else the default."""
+    return default_points if cfg.lambda_grid is None else max(len(cfg.lambda_grid), 16)
 
 
 def _peaks_block(cfg: RunConfig, s, crit) -> dict:
     lams_c = [cp.lambda_c for cp in crit]
     # the default window brackets every crossing with a 20% margin
-    window, grid_points = _window(cfg, (0.8 * min(lams_c), 1.2 * max(lams_c)), 1024)
+    window = _window(cfg, (0.8 * min(lams_c), 1.2 * max(lams_c)))
     schedule = [70.0, 90.0, 110.0] if cfg.beta is None else [float(b) for b in cfg.beta]
     result = transitions.track_peaks_to_zero_t(
-        s, schedule, window, grid_points, critical_points=crit
+        s, schedule, window, _grid_points(cfg, 1024), critical_points=crit
     )
     beta_max = max(schedule)
     final_offsets = [t.offset for t in result.peaks if t.beta == beta_max]
@@ -406,8 +410,8 @@ def _peaks_block(cfg: RunConfig, s, crit) -> dict:
 
 def _jumps_block(cfg: RunConfig, s, crit) -> dict:
     lams_c = [cp.lambda_c for cp in crit]
-    window, grid_points = _window(cfg, (0.0, 1.2 * max(lams_c)), 512)
-    jumps = transitions.detect_jumps(s, window, grid_points)
+    window = _window(cfg, (0.0, 1.2 * max(lams_c)))
+    jumps = transitions.detect_jumps(s, window)
     plateaus = []
     if jumps:
         plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
@@ -434,13 +438,9 @@ def _jumps_block(cfg: RunConfig, s, crit) -> dict:
 
 
 def _ceq_block(cfg: RunConfig) -> tuple[dict, bool]:
-    if cfg.beta is None:
-        beta = 200.0
-    elif len(cfg.beta) == 1:
-        beta = float(cfg.beta[0])
-    else:
-        raise ValueError("the residual search takes a single --beta value")
-    res = transitions.qpt_from_ceq(beta, *_window(cfg, (0.5, 1.5), 257))
+    # the largest beta given: the residual's dip sharpens as beta grows
+    beta = 200.0 if cfg.beta is None else float(cfg.beta[-1])
+    res = transitions.qpt_from_ceq(beta, _window(cfg, (0.5, 1.5)), _grid_points(cfg, 257))
     # as beta grows the zero-variance condition collapses to its double root xi = 1
     limit = 1.0
     block = {
@@ -527,7 +527,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else _EXIT_USAGE
     try:
         cfg = _make_config(ns)
-        return _DISPATCH[cfg.command](cfg)
+        # an overflowing or undefined value is an error in every format
+        with np.errstate(over="raise", invalid="raise"):
+            return _DISPATCH[cfg.command](cfg)
     except NonConvergenceError as exc:
         print(f"su2qpt: numerical non-convergence: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
@@ -540,7 +542,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError):
             pass
         return _EXIT_USAGE
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, FloatingPointError, OSError) as exc:
         print(f"su2qpt: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -23,7 +23,7 @@ class EigenResult:
 
 
 class NonConvergenceError(RuntimeError):
-    """Sweep budget exhausted before the off-diagonal norm met tol.
+    """Sweep budget exhausted before the off-diagonal norm met its tolerance.
 
     The best result reached so far is attached as ``partial``.
     """
@@ -37,17 +37,17 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
-def jacobi_eigenvalues(a, tol: float | None = None, max_sweeps: int = 30) -> EigenResult:
+def jacobi_eigenvalues(a, max_sweeps: int = 30) -> EigenResult:
     """Eigenvalues of a real symmetric matrix by cyclic-by-rows rotations.
+
+    Sweeps run until the off-diagonal Frobenius norm is at most 1e-12
+    times the Frobenius norm of the input.
 
     Parameters
     ----------
     a : array_like
         Square matrix, symmetric to within 1e-12 (relative to its
         largest entry).  A private copy is worked on.
-    tol : float, optional
-        Absolute bound on the final off-diagonal Frobenius norm.
-        Defaults to 1e-12 times the Frobenius norm of the input.
     max_sweeps : int
         Full cyclic sweeps allowed before giving up.
 
@@ -61,8 +61,8 @@ def jacobi_eigenvalues(a, tol: float | None = None, max_sweeps: int = 30) -> Eig
     ValueError
         If the input is not square or not symmetric.
     NonConvergenceError
-        If the off-norm is still above tol after max_sweeps; carries the
-        partial result.
+        If the off-norm is still above the tolerance after max_sweeps;
+        carries the partial result.
     """
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -70,14 +70,11 @@ def jacobi_eigenvalues(a, tol: float | None = None, max_sweeps: int = 30) -> Eig
     scale = float(np.abs(mat).max()) if mat.size else 0.0
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, scale)):
         raise ValueError("matrix is not symmetric to 1e-12; Jacobi rotations need symmetry")
-    if tol is not None and not tol > 0.0:
-        raise ValueError("tol must be positive")
 
     w = np.array(mat, dtype=float)
     w = 0.5 * (w + w.T)  # fold sub-tolerance asymmetry away
     d = w.shape[0]
-    if tol is None:
-        tol = 1e-12 * float(np.linalg.norm(w))
+    tol = 1e-12 * float(np.linalg.norm(w))
 
     sweeps = 0
     while True:

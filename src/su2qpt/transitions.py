@@ -273,60 +273,43 @@ def track_peaks_to_zero_t(
     return TrackingResult(peaks=tuple(tracked), warnings=tuple(warnings))
 
 
-def detect_jumps(
-    s: Spectrum, lambda_range, grid_points: int = 512, jump_threshold: float = 0.5
-) -> list[JumpPoint]:
-    """Discontinuities of the zero-temperature slope staircase.
+def detect_jumps(s: Spectrum, lambda_range) -> list[JumpPoint]:
+    """Discontinuities of the zero-temperature slope staircase on [lo, hi).
 
     Every level is a line in the coupling, so the ground energy is their
-    lower envelope and each jump is a vertex of it.  The staircase is
-    sampled on a uniform grid and cells where it moves are merged into
-    regions (a grid point landing exactly on a crossing reports the
-    averaged value and splits one jump across two cells).  Each region
-    is walked along the envelope: from the ground level at its left end,
-    the next vertex is the nearest exact crossing with a steeper level,
-    taken while it lies inside the region.  Of levels tied at the left
-    end the walk starts on the shallowest, and at a vertex it steps to
-    the steepest, so a crossing of several levels is one jump.  Only
-    jumps whose plateau gap exceeds the threshold are returned.
+    lower envelope and each jump is a vertex of it.  One walk follows the
+    envelope from the shallowest level tied for ground at lo, stepping to
+    the nearest exact crossing with a steeper level while that crossing
+    lies below hi, and at a vertex to the steepest of the levels crossing
+    there, so a crossing of several levels is one jump.  Every vertex is
+    reported, with no threshold on its plateau gap.  The first jump's left
+    value is the staircase at lo: the on-point mean if lo is a crossing.
     """
-    if not jump_threshold > 0:
-        raise ValueError("jump_threshold must be positive")
+    lo, hi = float(lambda_range[0]), float(lambda_range[1])
+    if not lo < hi:
+        raise ValueError("interval must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("interval ends must be finite")
+    d, e_min = _excitations(s, np.asarray(lo))
+    tied = np.flatnonzero(d <= DEGENERACY_RTOL * max(1.0, abs(e_min)))
+    k = tied[np.argmax(s.slopes[tied])]
+    lams, rights = [], []
+    while True:
+        steeper = np.flatnonzero(s.slopes < s.slopes[k])
+        rise = s.intercepts[steeper] - s.intercepts[k]
+        vertices = rise / (s.slopes[k] - s.slopes[steeper])
+        lam = float(vertices.min(initial=math.inf))
+        if not lam < hi:
+            break
+        at = steeper[vertices == lam]
+        k = at[np.argmin(s.slopes[at])]
+        lams.append(lam)
+        rights.append(float(s.slopes[k]))
 
-    def zt(x):
-        return thermo.zero_t_c_star_lambda(s, x)
-
-    grid, g = _scan(zt, lambda_range, grid_points)
-    # half the threshold so a split jump flags both of its cells
-    flagged = np.abs(np.diff(g)) >= 0.5 * jump_threshold
-
-    found: list[tuple[float, float, float]] = []  # (lam, left, right)
-    # each run of flagged cells i..j-1 is one region, from grid point i to j
-    runs = np.flatnonzero(np.diff(np.concatenate(([0], flagged.astype(np.int8), [0]))))
-    for i, j in runs.reshape(-1, 2):
-        a, b, left = float(grid[i]), float(grid[j]), float(g[i])
-        if not abs(float(g[j]) - left) > jump_threshold:
-            continue
-        d, e_min = _excitations(s, np.asarray(a))
-        tied = np.flatnonzero(d <= DEGENERACY_RTOL * max(1.0, abs(e_min)))
-        k = tied[np.argmax(s.slopes[tied])]
-        while True:
-            steeper = np.flatnonzero(s.slopes < s.slopes[k])
-            rise = s.intercepts[steeper] - s.intercepts[k]
-            vertices = rise / (s.slopes[k] - s.slopes[steeper])
-            lam = float(vertices.min(initial=math.inf))
-            if lam > b:
-                break
-            at = steeper[vertices == lam]
-            k = at[np.argmin(s.slopes[at])]
-            right = float(s.slopes[k])
-            found.append((lam, left, right))
-            left = right
-
-    # regions run left to right and each walk moves right, so jumps come sorted
-    kept = [v for v in found if abs(v[1] - v[2]) > jump_threshold]
-    midpoints = zt(np.array([v[0] for v in kept])).tolist()
-    return [JumpPoint(*v, midpoint_value=mid) for v, mid in zip(kept, midpoints)]
+    # the staircase at lo, then the on-point value at every vertex
+    values = thermo.zero_t_c_star_lambda(s, np.array([lo, *lams])).tolist()
+    lefts = values[:1] + rights[:-1]
+    return [JumpPoint(*v) for v in zip(lams, lefts, rights, values[1:])]
 
 
 def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257) -> CeqSearchResult:

@@ -176,7 +176,7 @@ def check_zero_t_staircase() -> CheckResult:
     worst = 0.0
     for n, (lams_c, plateaus, midpoints) in _STAIRCASES.items():
         s = model.analytic_spectrum(Multiplet(n))
-        jumps = transitions.detect_jumps(s, (0.0, 1.4), 512)
+        jumps = transitions.detect_jumps(s, (0.0, 1.4))
         if len(jumps) != len(lams_c):
             ok = False
             break

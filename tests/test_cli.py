@@ -294,11 +294,17 @@ class TestSweep:
 
     def test_json_refuses_nan_values(self, capsys):
         # at beta = 1e300 beta^2 * Var overflows; NaN has no JSON spelling
-        with pytest.warns(RuntimeWarning):
-            rc, out, err = run(
-                ["sweep", "--n", "4", "--beta", "1e300", "--lambda-grid", "0.5", "--format", "json"],
-                capsys,
-            )
+        rc, out, err = run(
+            ["sweep", "--n", "4", "--beta", "1e300", "--lambda-grid", "0.5", "--format", "json"],
+            capsys,
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("su2qpt: error:")
+
+    def test_csv_refuses_overflowing_values(self, capsys):
+        # the same overflow is an error in CSV too, not a nan cell and exit 0
+        rc, out, err = run(["sweep", "--n", "4", "--beta", "1e300", "--lambda-grid", "0.5"], capsys)
         assert rc == 1
         assert out == ""
         assert err.startswith("su2qpt: error:")
@@ -429,6 +435,13 @@ class TestZeroT:
         for v in (0.0, -7.0, -12.0, -15.0, -16.0):
             assert v in values
 
+    def test_overflowing_coupling_exits_one(self, capsys):
+        # slope * 1e308 overflows; no row with a wrong slope and degeneracy
+        rc, out, err = run(["zero-t", "--n", "4", "--lambda-grid", "1e308"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("su2qpt: error:")
+
     def test_requires_lambda_grid(self, capsys):
         rc, _, err = run(["zero-t", "--n", "4"], capsys)
         assert rc == 1
@@ -497,6 +510,16 @@ class TestCritical:
         assert rc == 0
         doc = json.loads(out)
         assert {"analytic", "peaks", "jumps", "ceq"} <= set(doc)
+
+    def test_n2_beta_schedule_runs_every_route(self, capsys):
+        # the peaks take the whole schedule, the residual search its largest beta
+        rc, out, _ = run(["critical", "--n", "2", "--beta", "70,90,110"], capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["peaks"]["beta_schedule"] == [70.0, 90.0, 110.0]
+        assert doc["ceq"]["beta"] == 110.0
+        assert doc["ceq"]["converged"] is True
+        assert abs(doc["ceq"]["xi_star"] - 1.0) <= 1e-6
 
     def test_ceq_rejected_above_two_particles(self, capsys):
         rc, _, err = run(["critical", "--n", "4", "--method", "ceq"], capsys)

@@ -78,11 +78,6 @@ def test_rejects_non_square():
         jacobi_eigenvalues(np.zeros((2, 3)))
 
 
-def test_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.eye(2), tol=0.0)
-
-
 def test_nonconvergence_carries_partial_result():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(NonConvergenceError) as exc_info:

@@ -1,9 +1,11 @@
 import math
 from dataclasses import astuple
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2qpt import thermo
@@ -260,9 +262,32 @@ class TestTrackPeaks:
             )
 
 
+def _envelope_vertices(intercepts, slopes, lo, hi):
+    """Exact (lam, left, right, midpoint) at each envelope vertex in [lo, hi).
+
+    A vertex is a crossing where both levels are minimal; the levels tied
+    there step from the largest slope to the smallest, and the on-point
+    value is their mean, which is also the left value at lo itself.
+    """
+    b, a = [Fraction(v) for v in intercepts], [Fraction(v) for v in slopes]
+    crossings = {
+        (b[j] - b[i]) / (a[i] - a[j]) for i, j in combinations(range(len(a)), 2) if a[i] != a[j]
+    }
+    out = []
+    for x in sorted(c for c in crossings if lo <= c < hi):
+        e = [bi + ai * x for bi, ai in zip(b, a)]
+        tied = [ai for ai, ei in zip(a, e) if ei == min(e)]
+        if max(tied) == min(tied):
+            continue
+        mean = sum(tied) / len(tied)
+        left = mean if x == lo else max(tied)
+        out.append((float(x), float(left), float(min(tied)), float(mean)))
+    return out
+
+
 class TestDetectJumps:
     def test_n4_staircase(self):
-        jumps = detect_jumps(S4, (0.0, 1.4), 512)
+        jumps = detect_jumps(S4, (0.0, 1.4))
         assert len(jumps) == 2
         assert abs(jumps[0].lam - 1 / 3) <= 1e-9
         assert abs(jumps[1].lam - 1.0) <= 1e-9
@@ -272,7 +297,7 @@ class TestDetectJumps:
         assert jumps[1].midpoint_value == -3.5
 
     def test_n8_staircase(self):
-        jumps = detect_jumps(S8, (0.0, 1.4), 512)
+        jumps = detect_jumps(S8, (0.0, 1.4))
         want_lams = [1 / 7, 1 / 5, 1 / 3, 1.0]
         want_plateaus = [0.0, -7.0, -12.0, -15.0, -16.0]
         assert len(jumps) == 4
@@ -285,7 +310,7 @@ class TestDetectJumps:
         for n in (2, 4, 8, 16):
             s = analytic_spectrum(Multiplet(n))
             want = [cp.lambda_c for cp in critical_couplings(Multiplet(n))]
-            jumps = detect_jumps(s, (0.0, 1.4), 512)
+            jumps = detect_jumps(s, (0.0, 1.4))
             assert len(jumps) == len(want)
             for jp, lam_c in zip(jumps, want):
                 assert abs(jp.lam - lam_c) <= 1e-9
@@ -293,69 +318,68 @@ class TestDetectJumps:
                 assert abs(jp.midpoint_value - (jp.left_value + jp.right_value) / 2.0) <= 1e-9
 
     def test_n2_single_jump(self):
-        jumps = detect_jumps(S2, (0.0, 2.0), 512)
+        jumps = detect_jumps(S2, (0.0, 2.0))
         assert len(jumps) == 1
         assert abs(jumps[0].lam - 1.0) <= 1e-9
         assert (jumps[0].left_value, jumps[0].right_value) == (0.0, -1.0)
         assert jumps[0].midpoint_value == -0.5
 
     def test_grid_point_exactly_on_crossing(self):
-        # dyadic window puts 1.0 exactly on the scan grid; the jump must
-        # not split into two half-steps
+        # the window of --lambda-grid 0.25:1.25:17, whose dyadic grid holds
+        # 1.0 exactly; the jump must not split into two half-steps
         grid = np.linspace(0.25, 1.25, 17)
         assert 1.0 in grid
-        jumps = detect_jumps(S4, (0.25, 1.25), 17)
+        jumps = detect_jumps(S4, (0.25, 1.25))
         assert [round(j.lam, 9) for j in jumps] == [round(1 / 3, 9), 1.0]
         assert [(j.left_value, j.right_value) for j in jumps] == [(0.0, -3.0), (-3.0, -4.0)]
 
     def test_window_ends_exactly_on_crossing(self):
-        jumps = detect_jumps(S4, (0.0, 1.0), 512)
+        jumps = detect_jumps(S4, (0.0, 1.0))
         assert len(jumps) == 1
         assert abs(jumps[0].lam - 1 / 3) <= 1e-9
+
+    def test_window_is_half_open(self):
+        # a crossing exactly at the right end lies outside [lo, hi)
+        assert detect_jumps(S4, (0.0, 1 / 3)) == []
 
     def test_window_starts_exactly_on_crossing(self):
         # the left plateau lies outside the window, so the visible left
         # value is the on-crossing midpoint
-        jumps = detect_jumps(S4, (1 / 3, 1.25), 512)
+        jumps = detect_jumps(S4, (1 / 3, 1.25))
         assert len(jumps) == 2
         assert abs(jumps[0].lam - 1 / 3) <= 1e-9
         assert jumps[0].left_value == -1.5
         assert jumps[0].right_value == -3.0
 
-    def test_threshold_filters_small_jumps(self):
-        jumps = detect_jumps(S4, (0.0, 1.4), 512, jump_threshold=2.0)
-        assert len(jumps) == 1
-        assert abs(jumps[0].lam - 1 / 3) <= 1e-9
-
     def test_many_jumps_in_one_coarse_cell(self):
-        # a 16-point grid puts hundreds of the N = 2100 crossings in its
-        # first cell; peeling them must not recurse once per jump
+        # the window of --lambda-grid 0:1.2:16 at N = 2100; one walk must
+        # resolve all 1050 crossings without recursing once per jump
         m = Multiplet(2100)
         want = [cp.lambda_c for cp in critical_couplings(m)]
-        jumps = detect_jumps(analytic_spectrum(m), (0.0, 1.2), 16)
+        jumps = detect_jumps(analytic_spectrum(m), (0.0, 1.2))
         assert len(jumps) == len(want) == 1050
         assert all(abs(jp.lam - lam_c) <= 1e-9 for jp, lam_c in zip(jumps, want))
 
     def test_triple_crossing_is_one_jump(self):
         # three levels meet at lam = 1; the walk steps straight to the steepest
         s = Spectrum([0, 1, 2], [0, 1, 2], [0, -1, -2])
-        jumps = detect_jumps(s, (0.0, 2.0), 512)
+        jumps = detect_jumps(s, (0.0, 2.0))
         assert [astuple(j) for j in jumps] == [(1.0, 0.0, -2.0, -1.0)]
 
     def test_descending_levels_window_starts_on_crossing(self):
         # at the window's left end the walk starts on the shallower of the
         # two tied levels, whatever the level order
         s = Spectrum(S8.m_values[::-1], S8.intercepts[::-1], S8.slopes[::-1])
-        jumps = detect_jumps(s, (1 / 3, 1.4), 512)
+        jumps = detect_jumps(s, (1 / 3, 1.4))
         assert [(j.left_value, j.right_value) for j in jumps] == [(-13.5, -15.0), (-15.0, -16.0)]
         assert abs(jumps[0].lam - 1 / 3) <= 1e-15
         assert jumps[1].lam == 1.0
 
-    @given(st.integers(2, 400), st.floats(0.1, 10.0), st.integers(16, 600))
-    def test_every_crossing_once_with_exact_plateaus(self, n, e_gap, grid_points):
+    @given(st.integers(2, 400), st.floats(0.1, 10.0))
+    def test_every_crossing_once_with_exact_plateaus(self, n, e_gap):
         m = Multiplet(n)
         crit = critical_couplings(m, e_gap)
-        jumps = detect_jumps(analytic_spectrum(m, e_gap), (0.0, 1.2 * crit[-1].lambda_c), grid_points)
+        jumps = detect_jumps(analytic_spectrum(m, e_gap), (0.0, 1.2 * crit[-1].lambda_c))
         assert len(jumps) == len(crit)
         for jp, cp in zip(jumps, crit):
             assert abs(jp.lam - cp.lambda_c) <= 1e-12 * cp.lambda_c
@@ -364,13 +388,32 @@ class TestDetectJumps:
         assert plateaus == want
 
     def test_no_jumps_inside_a_plateau(self):
-        assert detect_jumps(S4, (0.4, 0.9), 128) == []
+        assert detect_jumps(S4, (0.4, 0.9)) == []
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            detect_jumps(S4, (1.0, 0.0), 512)
-        with pytest.raises(ValueError):
-            detect_jumps(S4, (0.0, 1.4), 8)
+        for window in [(1.0, 0.0), (0.5, 0.5), (0.0, math.inf), (-math.inf, 1.0),
+                       (math.nan, 1.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError):
+                detect_jumps(S4, window)
+
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=2, max_size=12),
+        st.integers(-256, 255),
+        st.integers(1, 512),
+    )
+    # plateau gaps of 0.25, inside the window and at its left end
+    @example(levels=[(0, 0), (1, -1)], lo64=0, width64=128)
+    @example(levels=[(0, 0), (0, 1)], lo64=0, width64=1)
+    def test_every_envelope_vertex_exactly(self, levels, lo64, width64):
+        # each level is (4 * intercept, 4 * slope): quarter-integer lines make
+        # every product, sum and crossing float exact or correctly rounded,
+        # so equal rational crossings give equal floats; the window ends sit
+        # on a 1/64 lattice
+        intercepts, slopes = ([k / 4 for k in col] for col in zip(*levels))
+        lo, hi = lo64 / 64, (lo64 + width64) / 64
+        s = Spectrum(list(range(len(levels))), intercepts, slopes)
+        got = [astuple(j) for j in detect_jumps(s, (lo, hi))]
+        assert got == _envelope_vertices(intercepts, slopes, lo, hi)
 
 
 class TestRefinementTermination:
