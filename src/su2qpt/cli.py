@@ -187,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument(
         "--beta",
         default=None,
-        help="beta schedule for peak tracking (needs >= 3 values); the n=2 "
-        "residual search runs at its largest value",
+        help="beta schedule for peak tracking (needs >= 3 values; under "
+        "'all' a shorter one skips that route); the n=2 residual search "
+        "runs at its largest value",
     )
     cr.add_argument(
         "--lambda-grid",
@@ -479,7 +480,10 @@ def cmd_critical(cfg: RunConfig) -> int:
         ],
     }
     exit_code = _EXIT_OK
-    if crit and method in ("peaks", "all"):
+    # under all, a schedule too short to track leaves the peak route out,
+    # as away from n = 2 it leaves ceq out
+    trackable = cfg.beta is None or len(cfg.beta) >= transitions.MIN_SCHEDULE
+    if crit and (method == "peaks" or (method == "all" and trackable)):
         report["peaks"] = _peaks_block(cfg, s, crit)
     if crit and method in ("jumps", "all"):
         report["jumps"] = _jumps_block(cfg, s, crit)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,10 @@ DEGENERACY_RTOL = 8 * np.finfo(float).eps
 # Level x point elements per block of the batched kernels (``ground_level``
 # here, ``thermo.observables_grid``).  A block's temporaries then stay a
 # few tens of kB whatever the grid length; at large N a block is one point.
+# It is also the floor on a point's window of levels (``_levels``): up to
+# N+1 = _BLOCK_ELEMENTS every window is the whole spectrum, so small
+# spectra always take the full sum, and past it every block is one point,
+# so no block mixes windows.
 _BLOCK_ELEMENTS = 4096
 
 
@@ -77,6 +82,26 @@ class Spectrum:
     def energies(self, lam: float) -> np.ndarray:
         """All level energies at one coupling."""
         return self.intercepts + self.slopes * lam
+
+    @cached_property
+    def _convex(self) -> bool:
+        """Whether every level energy is convex in the level index at lam >= 0.
+
+        True when the second differences of the intercepts and of the
+        slopes are non-negative, to within 4 ulp of the largest entry
+        nearby: ``analytic_spectrum``'s intercepts e_gap*M are a straight
+        line only up to their rounding.  Checked once, on the first call
+        that could use a window, in chunks of 16384 levels, so it adds no
+        level-sized temporary.
+        """
+        chunk = 4 * _BLOCK_ELEMENTS
+        tol = 4 * np.finfo(float).eps
+        for a in (self.intercepts, self.slopes):
+            for start in range(0, a.size - 2, chunk):
+                x = a[start : start + chunk + 2]
+                if np.diff(x, 2).min() < -tol * max(x.max(), -x.min()):
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -127,25 +152,87 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
     return points
 
 
-def _excitations(s: Spectrum, lam: np.ndarray):
-    """Excitations e - e_min (levels on a new last axis) and the ground energy e_min."""
+def _first(pred, lo: int, hi: int) -> int:
+    """The first i in [lo, hi) with pred(i), else hi, for pred false then true."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _levels(s: Spectrum, lam: np.ndarray, reach) -> slice:
+    """The window of levels a kernel sums over at the one point ``lam``.
+
+    It holds every level whose excitation e - e_min is at most
+    ``reach(e_min)``, so a kernel loses only levels it would weigh with
+    an exact zero (or, in ``ground_level``, find non-degenerate).  For
+    lam >= 0 the energies of a ``Spectrum._convex`` spectrum fall and
+    then rise along the level index, so those levels are one run around
+    the minimum: bisection finds the minimum and, where the run reaches
+    past the floor, its ends, in O(log N) energy evaluations.
+
+    The floor widens the run to at least ``_BLOCK_ELEMENTS`` levels
+    centred on the minimum.  It covers the levels within float noise of
+    the minimum, where the evaluated energies need not be unimodal, and
+    up to N+1 = ``_BLOCK_ELEMENTS`` (the only case where a block can hold
+    several points) it makes the window the whole spectrum.  The window
+    is the whole spectrum too at a negative or non-finite lam, for a
+    spectrum that is not convex and where the minimum overflows.  It is
+    a pure function of the spectrum, lam and ``reach``.
+    """
+    n = s.slopes.size
+    if n <= _BLOCK_ELEMENTS:
+        return slice(None)
+    lam = lam.item()
+    if not 0.0 <= lam < math.inf or not s._convex:
+        return slice(None)
+    slopes, intercepts = s.slopes, s.intercepts
+
+    def energy(i: int) -> float:
+        # the kernel's float operations, so the same bits
+        return slopes.item(i) * lam + intercepts.item(i)
+
+    low = _first(lambda i: energy(i + 1) >= energy(i), 0, n - 1)
+    e_min = energy(low)
+    if not math.isfinite(e_min):
+        return slice(None)
+    bound = reach(e_min)
+    start = min(max(low - _BLOCK_ELEMENTS // 2, 0), n - _BLOCK_ELEMENTS)
+    stop = start + _BLOCK_ELEMENTS
+    if start > 0 and energy(start - 1) - e_min <= bound:
+        start = _first(lambda i: energy(i) - e_min <= bound, 0, start - 1)
+    if stop < n and energy(stop) - e_min <= bound:
+        stop = _first(lambda i: energy(i) - e_min > bound, stop + 1, n)
+    return slice(start, stop)
+
+
+def _excitations(s: Spectrum, lam: np.ndarray, levels: slice = slice(None)):
+    """Excitations e - e_min of ``levels`` (on a new last axis) and the ground energy e_min."""
     # in place: at large N each fresh level-sized temporary costs measurably
-    d = s.slopes * lam[..., None]
-    d += s.intercepts
+    d = s.slopes[levels] * lam[..., None]
+    d += s.intercepts[levels]
     e_min = np.minimum.reduce(d, axis=-1)
     d -= e_min[..., None]
     return d, e_min
 
 
+def _degeneracy_tol(e_min):
+    return DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
+
+
 def _ground(s: Spectrum, lam: np.ndarray):
     """Ground energy, mean ground slope and degeneracy at every point of lam."""
-    d, e_min = _excitations(s, lam)
-    tol = DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
+    levels = _levels(s, lam, _degeneracy_tol)
+    d, e_min = _excitations(s, lam, levels)
+    tol = _degeneracy_tol(e_min)
     # a flat index runs point-major, so each point's ground levels form one
     # run in level order; bincount counts them and sums their slopes
-    point, level = np.divmod(np.flatnonzero(d <= tol[..., None]), s.slopes.size)
+    point, level = np.divmod(np.flatnonzero(d <= tol[..., None]), d.shape[-1])
     degeneracy = np.bincount(point, minlength=lam.size).reshape(lam.shape)
-    slope_sum = np.bincount(point, s.slopes[level], lam.size).reshape(lam.shape)
+    slope_sum = np.bincount(point, s.slopes[levels][level], lam.size).reshape(lam.shape)
     return e_min, slope_sum / degeneracy, degeneracy
 
 
@@ -160,6 +247,14 @@ def ground_level(s: Spectrum, lam):
     of at most ``_BLOCK_ELEMENTS`` elements, and every reduction runs
     along one point's levels, so a point gets the same bits alone or in
     a grid.
+
+    Past N+1 = ``_BLOCK_ELEMENTS`` a point reads only its window of levels
+    (``_levels``, reaching the degeneracy tolerance past the minimum, at
+    least ``_BLOCK_ELEMENTS`` wide), and the whole spectrum at lam < 0 or
+    for a spectrum that is not convex.  The window holds every level the
+    tolerance test accepts, so the minimum, that test and the in-order
+    slope sum see the same levels as over the whole spectrum: the results
+    are bit-identical to the full sum at every N.
     """
     lam = np.asarray(lam, dtype=float)
     rows = max(1, _BLOCK_ELEMENTS // s.slopes.size)

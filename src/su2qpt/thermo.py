@@ -63,7 +63,8 @@ class ThermalObservables:
         Gibbs entropy beta*<E> + ln Z, computed in shifted form so it is
         structurally non-negative.
     occupations : numpy.ndarray
-        Boltzmann probability of each level, basis order.
+        Boltzmann probability of each level, basis order; exactly 0
+        outside the levels the kernel summed.
     """
 
     beta: float
@@ -76,6 +77,11 @@ class ThermalObservables:
     specific_heat: float
     entropy: float
     occupations: np.ndarray
+
+
+# Past this beta*(e - e_min) a Boltzmann weight exp(-beta*(e - e_min)) is
+# an exact zero: exp underflows to 0 beyond 1075*ln(2) = 745.13.
+_UNDERFLOW = 746.0
 
 
 def _check_beta(beta: float) -> None:
@@ -97,12 +103,23 @@ COLUMNS = (
 
 
 def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
-    """The six computed columns of ``COLUMNS`` and the occupations.
+    """The six computed columns of ``COLUMNS``, the occupations and their levels.
 
     The one thermodynamic kernel.  ``lam`` may have any shape; the
     levels sit on a new last axis and every reduction runs along it, one
     point at a time, so a point gets the same bits whether it comes
     alone (0-d ``lam``) or inside a grid block.
+
+    Past N+1 = ``_BLOCK_ELEMENTS``, where a block is one point, it sums
+    only that point's window of levels (``model._levels``): those with
+    beta*(e - e_min) up to ``_UNDERFLOW``, whose Boltzmann weight is not
+    an exact zero, widened to at least ``_BLOCK_ELEMENTS`` levels.  The
+    occupations are then those of the window's levels, ``levels``.  The
+    levels left out would add exact zeros, so the columns differ from the
+    full sum only by the grouping of the sums, within 8 ulp.  At beta = 0,
+    at lam < 0 and for a spectrum that is not convex the window is every
+    level, and below the floor it always is: there the bits are the full
+    sum's.
 
     The second moment is centered before squaring, which keeps the
     variance accurate even when it is fifteen orders of magnitude below
@@ -115,7 +132,10 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
     # (0, 1] and their sum in [1, dim] no matter how large beta gets.
     # Level-sized arrays are updated in place wherever a value is not
     # read again: at large N each fresh temporary costs measurably.
-    d, e_min = model._excitations(s, lam)
+    levels = slice(None)
+    if beta > 0:
+        levels = model._levels(s, lam, lambda e_min: _UNDERFLOW / beta)
+    d, e_min = model._excitations(s, lam, levels)
     w = -beta * d
     np.exp(w, out=w)
     w_sum = np.add.reduce(w, axis=-1)
@@ -132,7 +152,7 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
 
     delta = np.vecdot(p, d)  # mean excitation above the ground level
     centered = np.subtract(d, delta[..., None], out=d)
-    slopes = s.slopes
+    slopes = s.slopes[levels]
     mean_slope = np.vecdot(p, slopes)
     product = slopes - mean_slope[..., None]
     product *= centered
@@ -148,7 +168,7 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
         mean_slope - beta * cov,  # c_star_lambda
         beta * beta * var,  # specific_heat
     )
-    return columns, p
+    return columns, p, levels
 
 
 def observables_grid(s: Spectrum, beta: float, lams) -> np.ndarray:
@@ -181,7 +201,9 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     The 0-d case of the kernel behind ``observables_grid``.
     """
     _check_beta(beta)
-    columns, p = _kernel(s, beta, np.asarray(lam, dtype=float))
+    columns, p_levels, levels = _kernel(s, beta, np.asarray(lam, dtype=float))
+    p = np.zeros(s.slopes.size)
+    p[levels] = p_levels
     log_z, mean_energy, entropy, c_star_beta, c_star_lambda, specific_heat = map(float, columns)
     p.setflags(write=False)
     return ThermalObservables(

@@ -36,6 +36,9 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The fewest betas ``track_peaks_to_zero_t`` follows a peak across.
+MIN_SCHEDULE = 3
+
 # Interior maxima of a peak scan below this share of its largest sample
 # are float noise on a flat tail (the variance there is ~1e-31 where the
 # real remnant peaks are ~1e-4), not remnant peaks.
@@ -247,8 +250,8 @@ def track_peaks_to_zero_t(
     silently reassigned.
     """
     schedule = [float(b) for b in beta_schedule]
-    if len(schedule) < 3:
-        raise ValueError("beta schedule needs at least 3 values")
+    if len(schedule) < MIN_SCHEDULE:
+        raise ValueError(f"beta schedule needs at least {MIN_SCHEDULE} values")
     if any(b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])):
         raise ValueError("beta schedule must be strictly increasing")
     crit = [cp.lambda_c for cp in critical_points]

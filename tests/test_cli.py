@@ -521,6 +521,19 @@ class TestCritical:
         assert doc["ceq"]["converged"] is True
         assert abs(doc["ceq"]["xi_star"] - 1.0) <= 1e-6
 
+    def test_single_beta_under_all_leaves_peaks_out(self, capsys):
+        # too short a schedule to track: the other routes still run
+        rc, out, _ = run(["critical", "--n", "2", "--beta", "300"], capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        assert set(doc) == {"n_particles", "e_gap", "analytic", "jumps", "ceq"}
+        assert doc["ceq"]["beta"] == 300.0
+        assert doc["ceq"]["converged"] is True
+        assert abs(doc["ceq"]["xi_star"] - 1.0) <= 1e-6
+        rc, out, _ = run(["critical", "--n", "4", "--beta", "70,110"], capsys)
+        assert rc == 0
+        assert set(json.loads(out)) == {"n_particles", "e_gap", "analytic", "jumps"}
+
     def test_ceq_rejected_above_two_particles(self, capsys):
         rc, _, err = run(["critical", "--n", "4", "--method", "ceq"], capsys)
         assert rc == 1
@@ -536,6 +549,11 @@ class TestCritical:
         rc, _, err = run(["critical", "--n", "4", "--method", "peaks", "--beta", "200"], capsys)
         assert rc == 1
         assert "schedule" in err
+        # at n = 2 too, where under all the same schedule runs the other routes
+        rc, out, err = run(["critical", "--n", "2", "--method", "peaks", "--beta", "300"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert "at least 3 values" in err
 
     def test_lambda_grid_override(self, capsys):
         rc, out, _ = run(
