@@ -38,10 +38,11 @@ __all__ = [
 # apart.
 DEGENERACY_RTOL = 8 * np.finfo(float).eps
 
-# Level x point elements per block of the batched kernels (``ground_level``
-# here, ``thermo.observables_grid``).  A block's temporaries then stay a
-# few tens of kB whatever the grid length; at large N a block is one point.
-# It is also the floor on a point's window of levels (``_levels``): up to
+# Level x point elements per block of ``_blocks``, the one place that
+# blocks and windows the sums of both kernels (``ground_level`` and
+# ``thermo._kernel``).  A block's temporaries then stay a few tens of kB
+# whatever the grid length; at large N a block is one point.  It is also
+# the floor on a point's window of levels (``_levels``): up to
 # N+1 = _BLOCK_ELEMENTS every window is the whole spectrum, so small
 # spectra always take the full sum, and past it every block is one point,
 # so no block mixes windows.
@@ -163,7 +164,7 @@ def _first(pred, lo: int, hi: int) -> int:
     return lo
 
 
-def _levels(s: Spectrum, lam: np.ndarray, reach) -> slice:
+def _levels(s: Spectrum, lam: float, reach) -> slice:
     """The window of levels a kernel sums over at the one point ``lam``.
 
     It holds every level whose excitation e - e_min is at most
@@ -176,19 +177,15 @@ def _levels(s: Spectrum, lam: np.ndarray, reach) -> slice:
 
     The floor widens the run to at least ``_BLOCK_ELEMENTS`` levels
     centred on the minimum.  It covers the levels within float noise of
-    the minimum, where the evaluated energies need not be unimodal, and
-    up to N+1 = ``_BLOCK_ELEMENTS`` (the only case where a block can hold
-    several points) it makes the window the whole spectrum.  The window
-    is the whole spectrum too at a negative or non-finite lam, for a
-    spectrum that is not convex and where the minimum overflows.  It is
+    the minimum, where the evaluated energies need not be unimodal; it
+    needs N+1 > ``_BLOCK_ELEMENTS``, the only spectra ``_blocks`` windows.
+    The window is the whole spectrum at a negative or non-finite lam, for
+    a spectrum that is not convex and where the minimum overflows.  It is
     a pure function of the spectrum, lam and ``reach``.
     """
-    n = s.slopes.size
-    if n <= _BLOCK_ELEMENTS:
-        return slice(None)
-    lam = lam.item()
     if not 0.0 <= lam < math.inf or not s._convex:
         return slice(None)
+    n = s.slopes.size
     slopes, intercepts = s.slopes, s.intercepts
 
     def energy(i: int) -> float:
@@ -209,7 +206,7 @@ def _levels(s: Spectrum, lam: np.ndarray, reach) -> slice:
     return slice(start, stop)
 
 
-def _excitations(s: Spectrum, lam: np.ndarray, levels: slice = slice(None)):
+def _excitations(s: Spectrum, lam: np.ndarray, levels: slice):
     """Excitations e - e_min of ``levels`` (on a new last axis) and the ground energy e_min."""
     # in place: at large N each fresh level-sized temporary costs measurably
     d = s.slopes[levels] * lam[..., None]
@@ -219,21 +216,44 @@ def _excitations(s: Spectrum, lam: np.ndarray, levels: slice = slice(None)):
     return d, e_min
 
 
+def _blocks(s: Spectrum, lam: np.ndarray, reach):
+    """The one evaluation driver: how every kernel blocks and windows its sums.
+
+    Reads ``lam`` flat and yields ``(points, levels, d, e_min)`` for each
+    block of at most ``_BLOCK_ELEMENTS`` level x point elements: the
+    block's slice of ``lam.ravel()``, the slice of levels it sums over,
+    their excitations (``_excitations``) and the block's ground energies.
+    Up to N+1 = ``_BLOCK_ELEMENTS`` a block sums every level; past it a
+    block is one point, summed over that point's window (``_levels``,
+    with ``reach``), so no block mixes windows.
+    """
+    n = s.slopes.size
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    flat = lam.ravel()
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows]
+        levels = slice(None) if n <= _BLOCK_ELEMENTS else _levels(s, block.item(), reach)
+        yield (slice(start, start + rows), levels, *_excitations(s, block, levels))
+
+
 def _degeneracy_tol(e_min):
     return DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
 
 
-def _ground(s: Spectrum, lam: np.ndarray):
-    """Ground energy, mean ground slope and degeneracy at every point of lam."""
-    levels = _levels(s, lam, _degeneracy_tol)
-    d, e_min = _excitations(s, lam, levels)
-    tol = _degeneracy_tol(e_min)
-    # a flat index runs point-major, so each point's ground levels form one
-    # run in level order; bincount counts them and sums their slopes
-    point, level = np.divmod(np.flatnonzero(d <= tol[..., None]), d.shape[-1])
-    degeneracy = np.bincount(point, minlength=lam.size).reshape(lam.shape)
-    slope_sum = np.bincount(point, s.slopes[levels][level], lam.size).reshape(lam.shape)
-    return e_min, slope_sum / degeneracy, degeneracy
+def _ties(s: Spectrum, lam: np.ndarray):
+    """The levels tied for ground at every point of ``lam``, block by block.
+
+    Tied means within a relative DEGENERACY_RTOL of the minimum.  Yields
+    ``(points, e_min, point, level)`` per block of ``_blocks``: ``point``
+    indexes the block and ``level`` the spectrum.  A flat index runs
+    point-major, so each point's tied levels form one run in level order.
+    """
+    for points, levels, d, e_min in _blocks(s, lam, _degeneracy_tol):
+        start, stop, _ = levels.indices(s.slopes.size)
+        tied = np.flatnonzero(d <= _degeneracy_tol(e_min)[..., None])
+        del d  # free the block's excitations before the next block is built
+        point, level = np.divmod(tied, stop - start)
+        yield points, e_min, point, level + start
 
 
 def ground_level(s: Spectrum, lam):
@@ -243,10 +263,9 @@ def ground_level(s: Spectrum, lam):
     shape of ``lam`` (numpy scalars when it is 0-d).  Levels within a
     relative DEGENERACY_RTOL of the minimum are degenerate, and the slope
     is their equal-weight mean, the infinite-beta limit of the Boltzmann
-    occupations.  Levels sit on a new last axis, couplings go in blocks
-    of at most ``_BLOCK_ELEMENTS`` elements, and every reduction runs
-    along one point's levels, so a point gets the same bits alone or in
-    a grid.
+    occupations.  Couplings go through ``_blocks`` and every reduction
+    runs along one point's levels, so a point gets the same bits alone or
+    in a grid.
 
     Past N+1 = ``_BLOCK_ELEMENTS`` a point reads only its window of levels
     (``_levels``, reaching the degeneracy tolerance past the minimum, at
@@ -257,11 +276,11 @@ def ground_level(s: Spectrum, lam):
     are bit-identical to the full sum at every N.
     """
     lam = np.asarray(lam, dtype=float)
-    rows = max(1, _BLOCK_ELEMENTS // s.slopes.size)
-    if lam.size <= rows:
-        energy, slope, degeneracy = _ground(s, lam)
-    else:
-        flat = lam.ravel()
-        blocks = [_ground(s, flat[i : i + rows]) for i in range(0, flat.size, rows)]
-        energy, slope, degeneracy = (np.concatenate(c).reshape(lam.shape) for c in zip(*blocks))
-    return energy[()], slope[()], degeneracy[()]
+    energy, slope = np.empty(lam.size), np.empty(lam.size)
+    degeneracy = np.empty(lam.size, dtype=np.intp)
+    for points, e_min, point, level in _ties(s, lam):
+        # bincount counts each point's tied levels and sums their slopes in level order
+        energy[points] = e_min
+        degeneracy[points] = np.bincount(point, minlength=e_min.size)
+        slope[points] = np.bincount(point, s.slopes[level], e_min.size) / degeneracy[points]
+    return tuple(a.reshape(lam.shape)[()] for a in (energy, slope, degeneracy))

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .model import _BLOCK_ELEMENTS, Spectrum
+from .model import Spectrum
 
 __all__ = [
     "ThermalObservables",
@@ -105,21 +105,21 @@ COLUMNS = (
 def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
     """The six computed columns of ``COLUMNS``, the occupations and their levels.
 
-    The one thermodynamic kernel.  ``lam`` may have any shape; the
-    levels sit on a new last axis and every reduction runs along it, one
-    point at a time, so a point gets the same bits whether it comes
-    alone (0-d ``lam``) or inside a grid block.
+    The one thermodynamic kernel.  ``lam`` may have any shape and is read
+    flat, in the blocks of ``model._blocks``; for each block this yields
+    ``(points, columns, p, levels)``.  The levels sit on a new last axis
+    and every reduction runs along it, one point at a time, so a point
+    gets the same bits whether it comes alone or inside a grid block.
 
-    Past N+1 = ``_BLOCK_ELEMENTS``, where a block is one point, it sums
-    only that point's window of levels (``model._levels``): those with
-    beta*(e - e_min) up to ``_UNDERFLOW``, whose Boltzmann weight is not
-    an exact zero, widened to at least ``_BLOCK_ELEMENTS`` levels.  The
-    occupations are then those of the window's levels, ``levels``.  The
-    levels left out would add exact zeros, so the columns differ from the
-    full sum only by the grouping of the sums, within 8 ulp.  At beta = 0,
-    at lam < 0 and for a spectrum that is not convex the window is every
-    level, and below the floor it always is: there the bits are the full
-    sum's.
+    Past N+1 = 4096, where a block is one point, it sums only that
+    point's window of levels: those with beta*(e - e_min) up to
+    ``_UNDERFLOW``, whose Boltzmann weight is not an exact zero, widened
+    to at least 4096 levels.  The occupations are then those of the
+    window's levels, ``levels``.  The levels left out would add exact
+    zeros, so the columns differ from the full sum only by the grouping
+    of the sums, within 8 ulp.  At beta = 0, at lam < 0 and for a
+    spectrum that is not convex the window is every level, and below the
+    floor it always is: there the bits are the full sum's.
 
     The second moment is centered before squaring, which keeps the
     variance accurate even when it is fifteen orders of magnitude below
@@ -127,48 +127,49 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
     beta*(<E> - e_min) + ln(shifted Z), an algebraically identical form
     that cannot go negative through cancellation.
     """
+    # every weight is positive at beta = 0, so every level is in reach
+    bound = _UNDERFLOW / beta if beta > 0 else math.inf
     # Excitations d_i = e_i - e_min and their Boltzmann weights.  The
     # shift keeps every exponent non-positive, so the weights live in
     # (0, 1] and their sum in [1, dim] no matter how large beta gets.
     # Level-sized arrays are updated in place wherever a value is not
     # read again: at large N each fresh temporary costs measurably.
-    levels = slice(None)
-    if beta > 0:
-        levels = model._levels(s, lam, lambda e_min: _UNDERFLOW / beta)
-    d, e_min = model._excitations(s, lam, levels)
-    w = -beta * d
-    np.exp(w, out=w)
-    w_sum = np.add.reduce(w, axis=-1)
-    # ln(shifted Z) = log1p(w_sum - 1), with w_sum - 1 formed as the
-    # weights of exactly 1 beyond the first (the rest of a degenerate
-    # ground level, or every level at beta = 0) plus the excited weights,
-    # those below 1, summed apart: w_sum - 1 itself would lose the digits
-    # that make up a small entropy.  w_sum - w_excited is the count of
-    # ones to within a few ulp, so rint recovers it exactly.
-    w_excited = np.vecdot(w, w < 1.0)
-    log_w_sum = np.log1p(np.rint(w_sum - w_excited) - 1.0 + w_excited)
-    p = w
-    p /= w_sum[..., None]
+    for points, levels, d, e_min in model._blocks(s, lam, lambda e_min: bound):
+        w = -beta * d
+        np.exp(w, out=w)
+        w_sum = np.add.reduce(w, axis=-1)
+        # ln(shifted Z) = log1p(w_sum - 1), with w_sum - 1 formed as the
+        # weights of exactly 1 beyond the first (the rest of a degenerate
+        # ground level, or every level at beta = 0) plus the excited
+        # weights, those below 1, summed apart: w_sum - 1 itself would lose
+        # the digits that make up a small entropy.  w_sum - w_excited is
+        # the count of ones to within a few ulp, so rint recovers it exactly.
+        w_excited = np.vecdot(w, w < 1.0)
+        log_w_sum = np.log1p(np.rint(w_sum - w_excited) - 1.0 + w_excited)
+        p = w
+        p /= w_sum[..., None]
 
-    delta = np.vecdot(p, d)  # mean excitation above the ground level
-    centered = np.subtract(d, delta[..., None], out=d)
-    slopes = s.slopes[levels]
-    mean_slope = np.vecdot(p, slopes)
-    product = slopes - mean_slope[..., None]
-    product *= centered
-    cov = np.vecdot(p, product)
-    centered *= centered
-    var = np.vecdot(p, centered)
+        delta = np.vecdot(p, d)  # mean excitation above the ground level
+        centered = np.subtract(d, delta[..., None], out=d)
+        slopes = s.slopes[levels]
+        mean_slope = np.vecdot(p, slopes)
+        product = slopes - mean_slope[..., None]
+        product *= centered
+        cov = np.vecdot(p, product)
+        centered *= centered
+        var = np.vecdot(p, centered)
 
-    columns = (
-        -beta * e_min + log_w_sum,  # log_z
-        e_min + delta,  # mean_energy
-        beta * delta + log_w_sum,  # entropy
-        -var,  # c_star_beta
-        mean_slope - beta * cov,  # c_star_lambda
-        beta * beta * var,  # specific_heat
-    )
-    return columns, p, levels
+        columns = (
+            -beta * e_min + log_w_sum,  # log_z
+            e_min + delta,  # mean_energy
+            beta * delta + log_w_sum,  # entropy
+            -var,  # c_star_beta
+            mean_slope - beta * cov,  # c_star_lambda
+            beta * beta * var,  # specific_heat
+        )
+        yield points, columns, p, levels
+        # free the block's level-sized arrays before the next block is built
+        del d, centered, w, p, product
 
 
 def observables_grid(s: Spectrum, beta: float, lams) -> np.ndarray:
@@ -185,26 +186,27 @@ def observables_grid(s: Spectrum, beta: float, lams) -> np.ndarray:
     out = np.empty((lams.size, len(COLUMNS)))
     out[:, 0] = beta
     out[:, 1] = lams
-    rows = max(1, _BLOCK_ELEMENTS // s.slopes.size)
-    for start in range(0, lams.size, rows):
-        # the occupations are dropped at once: at large N they are the
-        # size of every other temporary of the block
-        columns = _kernel(s, beta, lams[start : start + rows])[0]
+    for points, columns, p, _ in _kernel(s, beta, lams):
+        # the occupations are dropped at once: at large N they are the size
+        # of every other temporary of the block
+        del p
         for k, column in enumerate(columns, start=2):
-            out[start : start + rows, k] = column
+            out[points, k] = column
     return out
 
 
 def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     """Full set of canonical observables at one (beta, lam) point.
 
-    The 0-d case of the kernel behind ``observables_grid``.
+    The one-point case of the kernel behind ``observables_grid``.
     """
     _check_beta(beta)
-    columns, p_levels, levels = _kernel(s, beta, np.asarray(lam, dtype=float))
+    [(_, columns, p_levels, levels)] = _kernel(s, beta, np.asarray(lam, dtype=float))
     p = np.zeros(s.slopes.size)
-    p[levels] = p_levels
-    log_z, mean_energy, entropy, c_star_beta, c_star_lambda, specific_heat = map(float, columns)
+    p[levels] = p_levels[0]
+    log_z, mean_energy, entropy, c_star_beta, c_star_lambda, specific_heat = (
+        c.item() for c in columns
+    )
     p.setflags(write=False)
     return ThermalObservables(
         beta=beta,

@@ -16,8 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import thermo
-from .model import DEGENERACY_RTOL, CriticalPoint, Spectrum, _excitations
+from . import model, thermo
+from .model import CriticalPoint, Spectrum
 
 __all__ = [
     "PeakEstimate",
@@ -258,16 +258,24 @@ def track_peaks_to_zero_t(
     if not crit:
         raise ValueError("no crossings to track; the model needs at least 2 particles")
 
+    # a peak's nearest crossing is one of its two neighbours in the sorted
+    # crossings, and that crossing's gap is to one of its own neighbours; the
+    # infinities stand in for a missing neighbour.  A tie goes to the lower
+    # crossing, also where rounding ties crossings further down.
+    c = np.array([-math.inf, *sorted(crit), math.inf])
     tracked: list[TrackedPeak] = []
     warnings: list[str] = []
     for beta in schedule:
-        for pk in find_peaks(s, beta, lambda_range, grid_points):
-            nearest = min(crit, key=lambda c: abs(pk.lambda_at_peak - c))
-            offset = abs(pk.lambda_at_peak - nearest)
-            tracked.append(
-                TrackedPeak(beta=beta, peak=pk, nearest_critical=nearest, offset=offset)
-            )
-            gap = min((abs(nearest - c) for c in crit if c != nearest), default=math.inf)
+        peaks = find_peaks(s, beta, lambda_range, grid_points)
+        lam = np.array([pk.lambda_at_peak for pk in peaks])
+        k = np.searchsorted(c, lam)
+        j = np.where(c[k] - lam < lam - c[k - 1], k, k - 1)
+        while (tied := lam - c[j - 1] == lam - c[j]).any():
+            j -= tied
+        gaps = np.minimum(c[j] - c[j - 1], c[j + 1] - c[j])
+        rows = zip(peaks, c[j].tolist(), np.abs(lam - c[j]).tolist(), gaps.tolist())
+        for pk, nearest, offset, gap in rows:
+            tracked.append(TrackedPeak(beta, pk, nearest, offset))
             if offset > 0.25 * gap:
                 warnings.append(
                     f"beta={beta:g}: peak at lambda={pk.lambda_at_peak:.6f} is not "
@@ -293,8 +301,8 @@ def detect_jumps(s: Spectrum, lambda_range) -> list[JumpPoint]:
         raise ValueError("interval must satisfy lo < hi")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("interval ends must be finite")
-    d, e_min = _excitations(s, np.asarray(lo))
-    tied = np.flatnonzero(d <= DEGENERACY_RTOL * max(1.0, abs(e_min)))
+    # the levels tied for ground at lo, as ``model.ground_level`` finds them
+    [(_, _, _, tied)] = model._ties(s, np.asarray(lo))
     k = tied[np.argmax(s.slopes[tied])]
     lams, rights = [], []
     while True:

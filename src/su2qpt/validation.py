@@ -1,11 +1,11 @@
 """Built-in acceptance suite: end-to-end checks with frozen reference values.
 
-Each check times itself against a fixed budget and reports one
-CheckResult; the CLI ``validate`` subcommand prints them as a pass/fail
-table.  Derivative identities are verified against arbitrary-precision
-central differences (mpmath), because at beta = 50 the energy variance
-sits fifteen orders of magnitude below the mean energy and double
-precision differencing cannot see it.
+One harness, ``_check``, times each check against its fixed budget and
+reports it as one CheckResult; the CLI ``validate`` subcommand prints
+them as a pass/fail table.  Derivative identities are verified against
+arbitrary-precision central differences (mpmath), because at beta = 50
+the energy variance sits fifteen orders of magnitude below the mean
+energy and double precision differencing cannot see it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import wraps
 from time import perf_counter
 
 import numpy as np
@@ -46,17 +47,31 @@ class CheckResult:
     elapsed_s: float
 
 
-def _finish(name: str, ok: bool, detail: str, t0: float, budget: float) -> CheckResult:
-    elapsed = perf_counter() - t0
-    in_budget = elapsed <= budget
-    status = detail if detail else "ok"
-    return CheckResult(
-        name=name,
-        passed=ok and in_budget,
-        detail=f"{status}; {elapsed:.3f} s (budget {budget:g} s)"
-        + ("" if in_budget else " EXCEEDED"),
-        elapsed_s=elapsed,
-    )
+def _check(name: str, budget: float):
+    """Make a function returning ``(ok, detail)`` a timed acceptance check.
+
+    The check passes when ok holds and the call took at most ``budget``
+    seconds; its detail ends with the elapsed time and the budget.
+    """
+
+    def harness(fn):
+        @wraps(fn)
+        def check() -> CheckResult:
+            t0 = perf_counter()
+            ok, detail = fn()
+            elapsed = perf_counter() - t0
+            in_budget = elapsed <= budget
+            return CheckResult(
+                name=name,
+                passed=ok and in_budget,
+                detail=f"{detail or 'ok'}; {elapsed:.3f} s (budget {budget:g} s)"
+                + ("" if in_budget else " EXCEEDED"),
+                elapsed_s=elapsed,
+            )
+
+        return check
+
+    return harness
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -67,20 +82,15 @@ def _rel_ok(got: float, want: float, rtol: float) -> bool:
     return abs(got - want) <= rtol * max(abs(got), abs(want), 1e-300)
 
 
-def check_critical_couplings() -> CheckResult:
+_CROSSINGS = {2: [1.0], 4: [1 / 3, 1.0], 8: [1 / 7, 1 / 5, 1 / 3, 1.0]}
+
+
+@_check("critical couplings, analytic", budget=1e-3)
+def check_critical_couplings():
     """Closed-form crossings for N = 2, 4, 8, exact float agreement."""
-    budget = 1e-3
-    expected = {2: [1.0], 4: [1 / 3, 1.0], 8: [1 / 7, 1 / 5, 1 / 3, 1.0]}
-    t0 = perf_counter()
-    got = {n: [cp.lambda_c for cp in model.critical_couplings(Multiplet(n))] for n in expected}
-    ok = got == expected
-    return _finish(
-        "critical couplings, analytic",
-        ok,
-        "exact rational agreement" if ok else f"mismatch: {got}",
-        t0,
-        budget,
-    )
+    got = {n: [cp.lambda_c for cp in model.critical_couplings(Multiplet(n))] for n in _CROSSINGS}
+    ok = got == _CROSSINGS
+    return ok, "exact rational agreement" if ok else f"mismatch: {got}"
 
 
 _EXPECTED_PAIRS = {
@@ -112,12 +122,11 @@ def _x_axis_hamiltonian(m: Multiplet, lam: float) -> np.ndarray:
     return jx - lam * ((m.casimir - m.j) * np.eye(m.dim) - jx @ jx)
 
 
-def check_eigenvalue_lists() -> CheckResult:
+@_check("eigenvalue lists vs Jacobi oracle", budget=1.0)
+def check_eigenvalue_lists():
     """Closed-form (intercept, slope) pairs, cross-checked by Jacobi on the
     x-axis form of the Hamiltonian."""
-    budget = 1.0
     lams = (0.0, 0.1, 1 / 3, 0.5, 1.0, 1.7)
-    t0 = perf_counter()
     ok = True
     worst = 0.0
     for n, pairs in _EXPECTED_PAIRS.items():
@@ -131,33 +140,21 @@ def check_eigenvalue_lists() -> CheckResult:
             jac = jacobi_eigenvalues(_x_axis_hamiltonian(mult, lam)).values
             ana = np.sort(s.energies(lam))
             worst = max(worst, float(np.abs(jac - ana).max()))
-    ok = ok and worst <= 1e-10
-    return _finish(
-        "eigenvalue lists vs Jacobi oracle",
-        ok,
-        f"pairs exact, max |jacobi - analytic| = {worst:.2e}",
-        t0,
-        budget,
-    )
+    return ok and worst <= 1e-10, f"pairs exact, max |jacobi - analytic| = {worst:.2e}"
 
 
-def check_n2_transition() -> CheckResult:
+@_check("N=2 exact transition", budget=1.0)
+def check_n2_transition():
     """N=2: residual search at beta=200, analytic limit, slope sign change."""
-    budget = 1.0
-    t0 = perf_counter()
     res = transitions.qpt_from_ceq(200.0, (0.5, 1.5))
     # the infinite-beta limit of the zero-variance condition is xi = 1 exactly
     ok_search = res.converged and abs(res.xi - 1.0) <= 1e-3
     g_below = thermo.n2_closed_forms(0.95, 30.0).g_xi
     g_above = thermo.n2_closed_forms(1.05, 30.0).g_xi
     ok_sign = g_below > 0.0 > g_above
-    ok = ok_search and ok_sign
-    return _finish(
-        "N=2 exact transition",
-        ok,
+    return (
+        ok_search and ok_sign,
         f"xi* = {res.xi:.8f}, limit = 1 exact, g(0.95) = {g_below:.3e}, g(1.05) = {g_above:.3e}",
-        t0,
-        budget,
     )
 
 
@@ -167,11 +164,10 @@ _STAIRCASES = {
 }
 
 
-def check_zero_t_staircase() -> CheckResult:
+@_check("zero-T staircase jumps", budget=1.0)
+def check_zero_t_staircase():
     """Jump locations, plateau values and midpoints of the zero-T staircase."""
-    budget = 1.0
     tol = 1e-9
-    t0 = perf_counter()
     ok = True
     worst = 0.0
     for n, (lams_c, plateaus, midpoints) in _STAIRCASES.items():
@@ -189,19 +185,12 @@ def check_zero_t_staircase() -> CheckResult:
             )
             worst = max(worst, *errs)
         ok = ok and worst <= tol
-    return _finish(
-        "zero-T staircase jumps",
-        ok,
-        f"max deviation {worst:.2e} (tol {tol:g})",
-        t0,
-        budget,
-    )
+    return ok, f"max deviation {worst:.2e} (tol {tol:g})"
 
 
-def check_remnant_peaks() -> CheckResult:
+@_check("remnant peak tracking", budget=10.0)
+def check_remnant_peaks():
     """Peak assignments, nesting along a beta schedule, 1/beta offset law."""
-    budget = 10.0
-    t0 = perf_counter()
     s4 = model.analytic_spectrum(Multiplet(4))
     crit = [1 / 3, 1.0]
 
@@ -232,14 +221,10 @@ def check_remnant_peaks() -> CheckResult:
     slope = float(np.polyfit(np.log(betas), np.log(offs), 1)[0])
     ok_slope = -1.1 <= slope <= -0.9
 
-    ok = ok_assign and ok_nested and ok_slope
-    return _finish(
-        "remnant peak tracking",
-        ok,
+    return (
+        ok_assign and ok_nested and ok_slope,
         f"assignments {sorted(assigned)}, nesting {'ok' if ok_nested else 'BROKEN'}, "
         f"log-log slope {slope:.4f}",
-        t0,
-        budget,
     )
 
 
@@ -267,10 +252,9 @@ def _mp_fd_lambda(s: Spectrum, beta: float, lam: float) -> float:
     return float((_mp_mean_energy(s, b, x + h) - _mp_mean_energy(s, b, x - h)) / (2 * h))
 
 
-def check_thermo_properties() -> CheckResult:
+@_check("thermo engine properties", budget=5.0)
+def check_thermo_properties():
     """Occupations, shift invariance, FD-vs-moment derivatives, entropy limits."""
-    budget = 5.0
-    t0 = perf_counter()
     ok = True
     notes = []
     shift = 0.37
@@ -322,14 +306,12 @@ def check_thermo_properties() -> CheckResult:
             if abs(thermo.observables(s, 300.0, lam_c1).entropy - math.log(2.0)) > 1e-6:
                 ok = False
                 notes.append(f"entropy(beta=300, lambda_c) != ln 2 at n={n}")
-    detail = "; ".join(notes[:3]) if notes else f"max FD mismatch {worst_fd:.2e} rel"
-    return _finish("thermo engine properties", ok, detail, t0, budget)
+    return ok, "; ".join(notes[:3]) if notes else f"max FD mismatch {worst_fd:.2e} rel"
 
 
-def check_robustness() -> CheckResult:
+@_check("numerical robustness at N=32", budget=1.0)
+def check_robustness():
     """No overflow or NaN at N=32 for beta up to 1e4 and lam up to 2."""
-    budget = 1.0
-    t0 = perf_counter()
     s = model.analytic_spectrum(Multiplet(32))
     ok = True
     for beta in (0.0, 1.0, 110.0, 1e4):
@@ -348,19 +330,12 @@ def check_robustness() -> CheckResult:
                 ok = False
             if not np.all(np.isfinite(obs.occupations)):
                 ok = False
-    return _finish(
-        "numerical robustness at N=32",
-        ok,
-        "all observables finite" if ok else "non-finite value encountered",
-        t0,
-        budget,
-    )
+    return ok, "all observables finite" if ok else "non-finite value encountered"
 
 
-def check_determinism() -> CheckResult:
+@_check("sweep determinism", budget=5.0)
+def check_determinism():
     """The sweep command run twice must emit byte-identical CSV."""
-    budget = 5.0
-    t0 = perf_counter()
     args = ["sweep", "--n", "4", "--beta", "110", "--lambda-grid", "0.02:1.4:200", "--out"]
     with tempfile.TemporaryDirectory() as td:
         p1 = os.path.join(td, "a.csv")
@@ -370,13 +345,7 @@ def check_determinism() -> CheckResult:
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             b1, b2 = f1.read(), f2.read()
     ok = rc1 == 0 and rc2 == 0 and b1 == b2 and len(b1) > 0
-    return _finish(
-        "sweep determinism",
-        ok,
-        f"{len(b1)} bytes, identical" if ok else "outputs differ",
-        t0,
-        budget,
-    )
+    return ok, f"{len(b1)} bytes, identical" if ok else "outputs differ"
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:

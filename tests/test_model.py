@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2qpt import model
@@ -228,6 +228,27 @@ def test_ground_level_keeps_the_shape_of_lam():
     assert [x.shape for x in ground_level(s, [])] == [(0,)] * 3
 
 
+@pytest.mark.parametrize("n, shape", [(8, (7, 200)), (5000, (4, 6))])
+def test_ground_level_of_a_2d_lam_equals_per_point_calls(n, shape):
+    # at N = 8 the 1400 couplings span four blocks of at most 455 points,
+    # whose edges cut across the rows of lam; at N = 5000 every block is one
+    # point summed over its own window (the whole spectrum where lam < 0)
+    mult = Multiplet(n)
+    s = analytic_spectrum(mult)
+    lams = np.linspace(-0.2, 1.5, math.prod(shape))
+    crit = critical_couplings(mult)
+    at = np.linspace(1, lams.size - 2, 4).astype(int)
+    lams[at] = [cp.lambda_c for cp in (crit[0], crit[1], crit[len(crit) // 2], crit[-1])]
+    lams = lams.reshape(shape)
+    energy, slope, degeneracy = ground_level(s, lams)
+    assert energy.shape == slope.shape == degeneracy.shape == shape
+    for idx in np.ndindex(shape):
+        single = ground_level(s, lams[idx])
+        for got, want in zip((energy[idx], slope[idx], degeneracy[idx]), single):
+            assert got == want and np.signbit(got) == np.signbit(want), (lams[idx], got, want)
+    assert 2 in degeneracy
+
+
 def assert_rows_equal_zero_d(s: Spectrum, lams: np.ndarray) -> None:
     rows = ground_level(s, lams)
     for i, lam in enumerate(lams):
@@ -243,6 +264,11 @@ def assert_rows_equal_zero_d(s: Spectrum, lams: np.ndarray) -> None:
     st.floats(min_value=1.0, max_value=3.5),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# grids of exactly one, two and three blocks, and one point past a block
+@example(7, 1.0, 0)
+@example(1, 2.0, 1)
+@example(63, 3.0, 2)
+@example(63, 65 / 64, 3)
 def test_grid_rows_equal_zero_d_ground_level_bitwise(n, blocks, seed):
     mult = Multiplet(n)
     s = analytic_spectrum(mult)

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from su2qpt import thermo
+from su2qpt import model
 from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import (
@@ -278,11 +278,16 @@ def _assert_rows_equal_scalar(s, beta, lams):
     st.floats(min_value=1.0, max_value=3.5),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# grids of exactly one, two and three blocks, and one point past a block
+@example(7, 110.0, 1.0, 0)
+@example(1, 0.0, 2.0, 1)
+@example(63, 1e4, 3.0, 2)
+@example(63, 70.0, 65 / 64, 3)
 def test_grid_rows_equal_scalar_observables_bitwise(n, beta, blocks, seed):
     mult = Multiplet(n)
     s = analytic_spectrum(mult)
     # a grid several blocks long, with every exact crossing on it
-    length = int(blocks * max(1, thermo._BLOCK_ELEMENTS // (n + 1)))
+    length = int(blocks * max(1, model._BLOCK_ELEMENTS // (n + 1)))
     rng = np.random.default_rng(seed)
     lams = np.sort(rng.uniform(0.0, 2.0, length))
     crossings = [cp.lambda_c for cp in critical_couplings(mult)]

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2qpt import thermo
-from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings
+from su2qpt import thermo, transitions
+from su2qpt.model import CriticalPoint, Spectrum, analytic_spectrum, critical_couplings
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
     CSV_HEADER,
+    PeakEstimate,
     SweepTable,
     _bisect,
     _golden_min,
@@ -247,6 +248,30 @@ class TestTrackPeaks:
         res = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, critical_points=crit)
         assert res.peaks
         assert {t.nearest_critical for t in res.peaks} == {2 / 3, 2.0}
+
+    @given(
+        st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=6, unique=True),
+        st.lists(st.floats(-2.5, 3.5), max_size=6),
+    )
+    @example([0.25, 0.75], [0.5, 0.25, 0.75, 1.0, -1.0])  # a tie goes to the lower crossing
+    @example([1.0], [0.2, 1.0, 7.0])  # one crossing: no gap, so no warning
+    @example([0.0, 5e-301, 0.5], [1.0])  # rounding ties crossings that are not neighbours
+    def test_each_peak_takes_its_nearest_crossing(self, crit, lams):
+        points = [CriticalPoint(n, c, 0.0, 0.0) for n, c in enumerate(sorted(crit), 1)]
+        peaks = [PeakEstimate(lam, 1.0, 0.1, 70.0) for lam in lams]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transitions, "find_peaks", lambda *args: peaks)
+            res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.0, 1.4), critical_points=points)
+        want, warned = [], 0
+        for lam in lams:
+            # the rule as two scans over every crossing, ascending
+            nearest = min(sorted(crit), key=lambda c: abs(lam - c))
+            want.append((nearest, abs(lam - nearest)))
+            gap = min((abs(nearest - c) for c in crit if c != nearest), default=math.inf)
+            warned += abs(lam - nearest) > 0.25 * gap
+        assert [(t.nearest_critical, t.offset) for t in res.peaks] == want * 3
+        assert all(type(t.nearest_critical) is float for t in res.peaks)
+        assert len(res.warnings) == 3 * warned
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ def full_sum_columns(s: Spectrum, beta: float, lam: float) -> np.ndarray:
 
 
 def thermal_reach(s: Spectrum, beta: float, lam: float) -> slice:
-    return model._levels(s, np.asarray(lam), lambda e_min: thermo._UNDERFLOW / beta)
+    return model._levels(s, lam, lambda e_min: thermo._UNDERFLOW / beta)
 
 
 def ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -87,6 +87,24 @@ def test_windowed_kernels_match_full_sums(n, e_gap, beta, lam):
         worst = ulps(got, want)
         assert worst.max() <= ULP_BOUND, dict(zip(COLUMNS, worst))
     assert ground_level(s, lam) == ground_reference(s, lam)
+
+
+@pytest.mark.parametrize("n_levels, rows", [(2048, 2), (4096, 1), (4097, 1)])
+def test_blocks_share_points_only_over_every_level(n_levels, rows):
+    # the driver's contract: several points share a block only when it sums
+    # every level, and past N+1 = FLOOR every block is one point in a window
+    s = analytic_spectrum(Multiplet(n_levels - 1))
+    lams = np.linspace(0.0, 1.2, 7)
+    blocks = list(model._blocks(s, lams, lambda e_min: thermo._UNDERFLOW / 110.0))
+    assert [b[0] for b in blocks] == [slice(i, i + rows) for i in range(0, lams.size, rows)]
+    for points, levels, d, e_min in blocks:
+        if n_levels <= FLOOR:
+            assert levels == slice(None)
+        else:
+            assert levels == thermal_reach(s, 110.0, lams[points].item())
+            assert levels.stop - levels.start == FLOOR
+        assert d.shape == (lams[points].size, FLOOR if n_levels > FLOOR else n_levels)
+        assert np.array_equal(e_min, [s.energies(lam).min() for lam in lams[points]])
 
 
 def permuted(s: Spectrum, seed: int) -> Spectrum:
