@@ -9,8 +9,8 @@ Exit codes: 0 success (every output byte written), 1 usage or
 validation error, an overflowing value, or a reader that closed stdout
 early, 2 numerical non-convergence.  Grid arguments accept
 ``start:stop:count`` (inclusive, exactly count points), a comma list, or
-a single value.  An optional JSON config file supplies defaults;
-explicit flags win.
+a single value.  An optional JSON config file supplies defaults under
+the flags' names (``e_gap`` for ``--e-gap``); explicit flags win.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import model, transitions
 from .eigensolver import NonConvergenceError
 from .spin_algebra import Multiplet
 
-__all__ = ["main", "build_parser", "parse_grid", "RunConfig"]
+__all__ = ["main", "build_parser", "parse_grid"]
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -115,22 +115,6 @@ def _as_grid(value, name: str) -> np.ndarray:
     raise ValueError(f"{name} must be a number, a list, or a grid spec string")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged view of command-line flags and the optional config file."""
-
-    command: str
-    n_particles: int | None = None
-    e_gap: float = 1.0
-    beta: np.ndarray | None = None
-    lambda_grid: np.ndarray | None = None
-    lam_values: np.ndarray | None = None
-    method: str = "all"
-    fmt: str = "csv"
-    out: str | None = None
-    quick: bool = False
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="su2qpt",
@@ -141,12 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, default_fmt: str) -> None:
         p.add_argument("--n", type=int, default=None, help="number of particles")
-        p.add_argument(
-            "--e-gap", dest="e_gap", type=float, default=None, help="level spacing (default 1)"
-        )
+        p.add_argument("--e-gap", type=float, default=None, help="level spacing (default 1)")
         p.add_argument(
             "--format",
-            dest="fmt",
             choices=("csv", "json"),
             default=None,
             help=f"output format (default {default_fmt})",
@@ -158,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, "csv")
     sp.add_argument(
         "--lambda",
-        dest="lam",
+        metavar="LAM",
         default=None,
         help="coupling values at which to tabulate energies (comma list or grid)",
     )
@@ -166,15 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="thermal observables over a beta x lambda grid")
     add_common(sw, "csv")
     sw.add_argument("--beta", default=None, help="beta values (list or grid spec)")
-    sw.add_argument(
-        "--lambda-grid", dest="lambda_grid", default=None, help="coupling grid (a:b:k)"
-    )
+    sw.add_argument("--lambda-grid", default=None, help="coupling grid (a:b:k)")
 
     zt = sub.add_parser("zero-t", help="zero-temperature slope staircase over a coupling grid")
     add_common(zt, "csv")
-    zt.add_argument(
-        "--lambda-grid", dest="lambda_grid", default=None, help="coupling grid (a:b:k)"
-    )
+    zt.add_argument("--lambda-grid", default=None, help="coupling grid (a:b:k)")
 
     cr = sub.add_parser("critical", help="locate crossings; JSON report keyed by method")
     add_common(cr, "json")
@@ -193,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cr.add_argument(
         "--lambda-grid",
-        dest="lambda_grid",
         default=None,
         help="override the routes' window; its count sets the scan density (a:b:k)",
     )
@@ -217,57 +193,38 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-def _make_config(ns: argparse.Namespace) -> RunConfig:
+def _make_config(ns: argparse.Namespace) -> dict:
+    """Every option under its one name, the config file's values overridden by the flags given.
+
+    A JSON null, like a flag not given, leaves its option unset.
+    """
     if ns.command == "validate":
-        return RunConfig(command="validate", quick=ns.quick)
+        return vars(ns)
+    # merged here rather than through parser.set_defaults, whose type= would
+    # turn a config "4" into the integer n instead of rejecting it
+    given = [*_load_config(ns.config).items(), *vars(ns).items()]
+    cfg = {key: value for key, value in given if value is not None}
 
-    cfg = _load_config(ns.config)
-
-    def pick(key: str, flag_value):
-        return flag_value if flag_value is not None else cfg.get(key)
-
-    n = pick("n", ns.n)
-    if n is None:
+    if "n" not in cfg:
         raise ValueError("--n is required (flag or config file)")
-    if isinstance(n, bool) or not isinstance(n, int):
+    if isinstance(cfg["n"], bool) or not isinstance(cfg["n"], int):
         raise ValueError("n must be an integer")
-
-    e_gap = pick("e_gap", ns.e_gap)
-    if e_gap is not None and not _is_number(e_gap):
+    if not _is_number(cfg.setdefault("e_gap", 1.0)):
         raise ValueError("e_gap must be a number")
-    e_gap = 1.0 if e_gap is None else float(e_gap)
-
-    fmt = pick("format", ns.fmt)
-    default_fmt = "json" if ns.command == "critical" else "csv"
-    fmt = default_fmt if fmt is None else str(fmt)
+    cfg["e_gap"] = float(cfg["e_gap"])
+    fmt = cfg["format"] = str(cfg.get("format", "json" if ns.command == "critical" else "csv"))
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     if ns.command == "critical" and fmt != "json":
         raise ValueError("the critical report is JSON only")
-
-    method = pick("method", getattr(ns, "method", None))
-    method = "all" if method is None else str(method)
-    if method not in _METHODS:
+    if cfg.setdefault("method", "all") not in _METHODS:
         raise ValueError(f"method must be one of {', '.join(_METHODS)}")
-
-    beta = pick("beta", getattr(ns, "beta", None))
-    lambda_grid = pick("lambda_grid", getattr(ns, "lambda_grid", None))
-    lam_values = pick("lambda", getattr(ns, "lam", None))
-    out = pick("out", ns.out)
-    if out is not None and not isinstance(out, str):
+    if not isinstance(cfg.get("out", ""), str):
         raise ValueError("out must be a path string")
-
-    return RunConfig(
-        command=ns.command,
-        n_particles=n,
-        e_gap=e_gap,
-        beta=None if beta is None else _as_grid(beta, "beta"),
-        lambda_grid=None if lambda_grid is None else _as_grid(lambda_grid, "lambda-grid"),
-        lam_values=None if lam_values is None else _as_grid(lam_values, "lambda"),
-        method=method,
-        fmt=fmt,
-        out=out,
-    )
+    for key in ("beta", "lambda_grid", "lambda"):
+        if key in cfg:
+            cfg[key] = _as_grid(cfg[key], key.replace("_", "-"))
+    return cfg
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -308,20 +265,28 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    mult = Multiplet(cfg.n_particles)
-    s = model.analytic_spectrum(mult, cfg.e_gap)
-    crit = model.critical_couplings(mult, cfg.e_gap)
-    lams = [] if cfg.lam_values is None else [float(x) for x in cfg.lam_values]
+def _rows_text(columns, rows, fmt: str) -> str:
+    """Rows as a JSON list of objects, or as CSV under a header line at 17 digits."""
+    if fmt == "json":
+        return _dump_json([dict(zip(columns, row)) for row in rows])
+    lines = [",".join(columns)] + [",".join(map(_g17, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_spectrum(cfg: dict) -> int:
+    mult = Multiplet(cfg["n"])
+    s = model.analytic_spectrum(mult, cfg["e_gap"])
+    crit = model.critical_couplings(mult, cfg["e_gap"])
+    lams = [float(x) for x in cfg.get("lambda", ())]
     # one row per level: m, intercept, slope, then its energy at each coupling
     table = np.column_stack(
         [s.m_values, s.intercepts, s.slopes] + [s.energies(x) for x in lams]
     ).tolist()
 
-    if cfg.fmt == "json":
+    if cfg["format"] == "json":
         payload = {
             "n_particles": mult.n_particles,
-            "e_gap": cfg.e_gap,
+            "e_gap": cfg["e_gap"],
             "lambda": lams,
             "levels": [
                 {"m": row[0], "intercept": row[1], "slope": row[2], "energies": row[3:]}
@@ -329,62 +294,56 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             ],
             "critical_couplings": [float(cp.lambda_c) for cp in crit],
         }
-        _emit(_dump_json(payload), cfg.out)
+        _emit(_dump_json(payload), cfg.get("out"))
         return _EXIT_OK
 
-    header = "m,intercept,slope" + "".join(f",energy_at_{_g17(x)}" for x in lams)
-    lines = [header] + [",".join(_g17(v) for v in row) for row in table]
-    lines.append("# critical_couplings," + ",".join(_g17(cp.lambda_c) for cp in crit))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    columns = ["m", "intercept", "slope"] + [f"energy_at_{_g17(x)}" for x in lams]
+    comment = "# critical_couplings," + ",".join(_g17(cp.lambda_c) for cp in crit) + "\n"
+    _emit(_rows_text(columns, table, "csv") + comment, cfg.get("out"))
     return _EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.beta is None:
+def cmd_sweep(cfg: dict) -> int:
+    if "beta" not in cfg:
         raise ValueError("sweep needs --beta")
-    if cfg.lambda_grid is None:
+    if "lambda_grid" not in cfg:
         raise ValueError("sweep needs --lambda-grid")
-    s = model.analytic_spectrum(Multiplet(cfg.n_particles), cfg.e_gap)
-    table = transitions.phase_diagram(s, cfg.beta, cfg.lambda_grid)
-    if cfg.fmt == "json":
-        payload = [dict(zip(table.COLUMNS, row)) for row in table.values.tolist()]
-        _emit(_dump_json(payload), cfg.out)
+    s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
+    table = transitions.phase_diagram(s, cfg["beta"], cfg["lambda_grid"])
+    if cfg["format"] == "json":
+        _emit(_rows_text(table.COLUMNS, table.values.tolist(), "json"), cfg.get("out"))
     else:
-        _emit(table.csv_text(), cfg.out)
+        _emit(table.csv_text(), cfg.get("out"))
     return _EXIT_OK
 
 
-def cmd_zero_t(cfg: RunConfig) -> int:
-    if cfg.lambda_grid is None:
+def cmd_zero_t(cfg: dict) -> int:
+    if "lambda_grid" not in cfg:
         raise ValueError("zero-t needs --lambda-grid")
-    s = model.analytic_spectrum(Multiplet(cfg.n_particles), cfg.e_gap)
-    e0, slope, degeneracy = model.ground_level(s, cfg.lambda_grid)
-    rows = list(zip(cfg.lambda_grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist()))
-    if cfg.fmt == "json":
-        _emit(_dump_json([dict(zip(_ZERO_T_COLUMNS, row)) for row in rows]), cfg.out)
-    else:
-        lines = [",".join(_ZERO_T_COLUMNS)]
-        lines += [f"{_g17(lam)},{_g17(sl)},{_g17(e)},{deg}" for lam, sl, e, deg in rows]
-        _emit("\n".join(lines) + "\n", cfg.out)
+    grid = cfg["lambda_grid"]
+    s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
+    e0, slope, degeneracy = model.ground_level(s, grid)
+    rows = zip(grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist())
+    _emit(_rows_text(_ZERO_T_COLUMNS, rows, cfg["format"]), cfg.get("out"))
     return _EXIT_OK
 
 
-def _window(cfg: RunConfig, default_window) -> tuple:
+def _window(cfg: dict, default_window) -> tuple:
     """A route's window: --lambda-grid's ends, else the default."""
-    grid = cfg.lambda_grid
+    grid = cfg.get("lambda_grid")
     return default_window if grid is None else (float(grid[0]), float(grid[-1]))
 
 
-def _grid_points(cfg: RunConfig, default_points: int) -> int:
+def _grid_points(cfg: dict, default_points: int) -> int:
     """A scanning route's density: --lambda-grid's size (at least 16), else the default."""
-    return default_points if cfg.lambda_grid is None else max(len(cfg.lambda_grid), 16)
+    return max(len(cfg["lambda_grid"]), 16) if "lambda_grid" in cfg else default_points
 
 
-def _peaks_block(cfg: RunConfig, s, crit) -> dict:
+def _peaks_block(cfg: dict, s, crit) -> dict:
     lams_c = [cp.lambda_c for cp in crit]
     # the default window brackets every crossing with a 20% margin
     window = _window(cfg, (0.8 * min(lams_c), 1.2 * max(lams_c)))
-    schedule = [70.0, 90.0, 110.0] if cfg.beta is None else [float(b) for b in cfg.beta]
+    schedule = [float(b) for b in cfg.get("beta", (70.0, 90.0, 110.0))]
     result = transitions.track_peaks_to_zero_t(
         s, schedule, window, _grid_points(cfg, 1024), critical_points=crit
     )
@@ -409,19 +368,14 @@ def _peaks_block(cfg: RunConfig, s, crit) -> dict:
     }
 
 
-def _jumps_block(cfg: RunConfig, s, crit) -> dict:
+def _jumps_block(cfg: dict, s, crit) -> dict:
     lams_c = [cp.lambda_c for cp in crit]
     window = _window(cfg, (0.0, 1.2 * max(lams_c)))
     jumps = transitions.detect_jumps(s, window)
     plateaus = []
     if jumps:
         plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
-    # each jump's nearest crossing is one of its two neighbours in the sorted
-    # list; the infinities stand in for a missing neighbour
-    c = np.array([-np.inf, *lams_c, np.inf])
-    lam_j = np.array([j.lam for j in jumps])
-    k = np.searchsorted(c, lam_j)
-    deltas = np.minimum(lam_j - c[k - 1], c[k] - lam_j)
+    _, distances, _ = transitions.nearest_crossing(lams_c, [j.lam for j in jumps])
     return {
         "window": list(window),
         "jumps": [
@@ -434,14 +388,19 @@ def _jumps_block(cfg: RunConfig, s, crit) -> dict:
             for j in jumps
         ],
         "plateaus": plateaus,
-        "max_distance_to_analytic": float(deltas.max()) if deltas.size else None,
+        "max_distance_to_analytic": float(distances.max()) if distances.size else None,
     }
 
 
-def _ceq_block(cfg: RunConfig) -> tuple[dict, bool]:
+def _ceq_block(cfg: dict) -> tuple[dict, bool]:
     # the largest beta given: the residual's dip sharpens as beta grows
-    beta = 200.0 if cfg.beta is None else float(cfg.beta[-1])
-    res = transitions.qpt_from_ceq(beta, _window(cfg, (0.5, 1.5)), _grid_points(cfg, 257))
+    beta = float(cfg["beta"][-1]) if "beta" in cfg else 200.0
+    # the n = 2 levels are e_gap*{-1, -xi, +1} with xi = lambda/e_gap, so at
+    # beta they weigh as the residual's unit-gap levels at beta*e_gap: the
+    # search runs there, in xi
+    e_gap = cfg["e_gap"]
+    lo, hi = _window(cfg, (0.5 * e_gap, 1.5 * e_gap))
+    res = transitions.qpt_from_ceq(beta * e_gap, (lo / e_gap, hi / e_gap), _grid_points(cfg, 257))
     # as beta grows the zero-variance condition collapses to its double root xi = 1
     limit = 1.0
     block = {
@@ -455,11 +414,11 @@ def _ceq_block(cfg: RunConfig) -> tuple[dict, bool]:
     return block, res.converged
 
 
-def cmd_critical(cfg: RunConfig) -> int:
-    mult = Multiplet(cfg.n_particles)
-    s = model.analytic_spectrum(mult, cfg.e_gap)
-    crit = model.critical_couplings(mult, cfg.e_gap)
-    method = cfg.method
+def cmd_critical(cfg: dict) -> int:
+    mult = Multiplet(cfg["n"])
+    s = model.analytic_spectrum(mult, cfg["e_gap"])
+    crit = model.critical_couplings(mult, cfg["e_gap"])
+    method = cfg["method"]
 
     if method == "ceq" and mult.n_particles != 2:
         raise ValueError("the closed-form residual search applies to n = 2 only")
@@ -468,21 +427,13 @@ def cmd_critical(cfg: RunConfig) -> int:
 
     report = {
         "n_particles": mult.n_particles,
-        "e_gap": cfg.e_gap,
-        "analytic": [
-            {
-                "n": cp.n,
-                "lambda_c": cp.lambda_c,
-                "lower_m": float(cp.lower_m),
-                "upper_m": float(cp.upper_m),
-            }
-            for cp in crit
-        ],
+        "e_gap": cfg["e_gap"],
+        "analytic": [asdict(cp) for cp in crit],
     }
     exit_code = _EXIT_OK
     # under all, a schedule too short to track leaves the peak route out,
     # as away from n = 2 it leaves ceq out
-    trackable = cfg.beta is None or len(cfg.beta) >= transitions.MIN_SCHEDULE
+    trackable = "beta" not in cfg or len(cfg["beta"]) >= transitions.MIN_SCHEDULE
     if crit and (method == "peaks" or (method == "all" and trackable)):
         report["peaks"] = _peaks_block(cfg, s, crit)
     if crit and method in ("jumps", "all"):
@@ -492,22 +443,22 @@ def cmd_critical(cfg: RunConfig) -> int:
         report["ceq"] = block
         if not converged:
             exit_code = _EXIT_NUMERIC
-    _emit(_dump_json(report), cfg.out)
+    _emit(_dump_json(report), cfg.get("out"))
     return exit_code
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: dict) -> int:
     # imported here so that no other command pays for loading mpmath
     from . import validation
 
-    results = validation.run_all(quick=cfg.quick)
+    results = validation.run_all(quick=cfg["quick"])
     width = max(len(r.name) for r in results)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results
     ]
     n_fail = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", None)
     return _EXIT_OK if n_fail == 0 else _EXIT_USAGE
 
 
@@ -533,7 +484,7 @@ def main(argv=None) -> int:
         cfg = _make_config(ns)
         # an overflowing or undefined value is an error in every format
         with np.errstate(over="raise", invalid="raise"):
-            return _DISPATCH[cfg.command](cfg)
+            return _DISPATCH[cfg["command"]](cfg)
     except NonConvergenceError as exc:
         print(f"su2qpt: numerical non-convergence: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC

@@ -230,6 +230,25 @@ def _fwhm(var_on, grid, y, top, lam_star, height) -> np.ndarray:
     return flank[top.size :] - flank[: top.size]
 
 
+def nearest_crossing(crossings, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each coupling's nearest crossing, its distance from it, and that crossing's gap.
+
+    The nearest crossing is one of the coupling's two neighbours in the
+    sorted crossings, and its gap is the distance to the nearer of its own
+    neighbours; the infinities stand in for a missing neighbour.  A tie
+    goes to the lower crossing, also where rounding ties crossings
+    further down.  ``crossings`` must not be empty.
+    """
+    c = np.array([-math.inf, *sorted(crossings), math.inf])
+    lam = np.asarray(lams, dtype=float)
+    k = np.searchsorted(c, lam)
+    j = np.where(c[k] - lam < lam - c[k - 1], k, k - 1)
+    while (tied := lam - c[j - 1] == lam - c[j]).any():
+        j -= tied
+    gaps = np.minimum(c[j] - c[j - 1], c[j + 1] - c[j])
+    return c[j], np.abs(lam - c[j]), gaps
+
+
 def track_peaks_to_zero_t(
     s: Spectrum,
     beta_schedule,
@@ -258,22 +277,12 @@ def track_peaks_to_zero_t(
     if not crit:
         raise ValueError("no crossings to track; the model needs at least 2 particles")
 
-    # a peak's nearest crossing is one of its two neighbours in the sorted
-    # crossings, and that crossing's gap is to one of its own neighbours; the
-    # infinities stand in for a missing neighbour.  A tie goes to the lower
-    # crossing, also where rounding ties crossings further down.
-    c = np.array([-math.inf, *sorted(crit), math.inf])
     tracked: list[TrackedPeak] = []
     warnings: list[str] = []
     for beta in schedule:
         peaks = find_peaks(s, beta, lambda_range, grid_points)
-        lam = np.array([pk.lambda_at_peak for pk in peaks])
-        k = np.searchsorted(c, lam)
-        j = np.where(c[k] - lam < lam - c[k - 1], k, k - 1)
-        while (tied := lam - c[j - 1] == lam - c[j]).any():
-            j -= tied
-        gaps = np.minimum(c[j] - c[j - 1], c[j + 1] - c[j])
-        rows = zip(peaks, c[j].tolist(), np.abs(lam - c[j]).tolist(), gaps.tolist())
+        near, offsets, gaps = nearest_crossing(crit, [pk.lambda_at_peak for pk in peaks])
+        rows = zip(peaks, near.tolist(), offsets.tolist(), gaps.tolist())
         for pk, nearest, offset, gap in rows:
             tracked.append(TrackedPeak(beta, pk, nearest, offset))
             if offset > 0.25 * gap:

@@ -505,6 +505,20 @@ class TestCritical:
         assert abs(doc["ceq"]["xi_star"] - 1.0) <= 1e-6
         assert doc["ceq"]["zero_t_limit"] == 1.0
 
+    def test_ceq_runs_in_units_of_the_gap(self, capsys):
+        # the n = 2 levels are e_gap*{-1, -xi, +1}, so a gap of 2 at beta 100
+        # is the unit gap at beta 200, in xi = lambda/e_gap
+        rc, out, _ = run(["critical", "--n", "2", "--method", "ceq", "--beta", "200"], capsys)
+        unit = json.loads(out)["ceq"]
+        argv = ["critical", "--n", "2", "--method", "ceq", "--e-gap", "2", "--beta", "100"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0
+        assert json.loads(out)["ceq"] == {**unit, "beta": 100.0}
+        # a window around lambda_c = 2.5 holds the crossing xi = 1
+        rc, out, err = run(["critical", "--n", "2", "--e-gap", "2.5", "--lambda-grid", "2:3:100"], capsys)
+        assert rc == 0, err
+        assert abs(json.loads(out)["ceq"]["xi_star"] - 1.0) <= 1e-3
+
     def test_all_methods_for_n2_include_ceq(self, capsys):
         rc, out, _ = run(["critical", "--n", "2"], capsys)
         assert rc == 0

@@ -1,9 +1,17 @@
-"""Each evaluation policy has one owner: ``model`` blocks, windows and ties levels."""
+"""Each evaluation policy has one owner, and each public name and option one declaration.
+
+``model`` blocks, windows and ties levels; the package re-exports its modules' ``__all__``;
+a CLI flag's dest is its config key.
+"""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import su2qpt
+from su2qpt import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "su2qpt"
 # how kernels block and window their sums, and when levels tie for ground
@@ -36,3 +44,29 @@ def test_only_model_names_the_evaluation_policy(path):
         assert MODEL_ONLY <= names(ast.parse(path.read_text(encoding="utf-8")))
     else:
         assert not MODEL_ONLY & names(ast.parse(path.read_text(encoding="utf-8")))
+
+
+
+# the library modules the package republishes; the CLI front end and the
+# acceptance suite (which loads mpmath) stay in their own modules
+LIBRARY = ("eigensolver", "model", "spin_algebra", "thermo", "transitions")
+
+
+def test_the_package_exports_each_module_all_once():
+    declared = ["__version__"]
+    for name in LIBRARY:
+        declared += importlib.import_module(f"su2qpt.{name}").__all__
+    assert sorted(su2qpt.__all__) == sorted(declared)
+    assert len(set(declared)) == len(declared)
+    for name in su2qpt.__all__:
+        assert getattr(su2qpt, name) is not None, name
+    # __init__ names no public name of a module, so it cannot restate one
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not set(declared[1:]) & names(init)
+
+
+def test_each_option_has_one_name():
+    # a flag's dest is its config key, so no code renames one into the other
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    dests = {a.dest for sub in commands.choices.values() for a in sub._actions} - {"help"}
+    assert dests - {"config", "quick"} == cli._CONFIG_KEYS
