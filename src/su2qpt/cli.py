@@ -174,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the routes' window; its count sets the scan density (a:b:k)",
     )
 
-    va = sub.add_parser("validate", help="run the built-in acceptance suite")
-    va.add_argument("--quick", action="store_true", help="skip the slow peak-tracking check")
+    sub.add_parser("validate", help="run the built-in acceptance suite")
 
     return parser
 
@@ -273,7 +272,7 @@ def _rows_text(columns, rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_spectrum(cfg: dict) -> int:
+def cmd_spectrum(cfg: dict) -> tuple[str, int]:
     mult = Multiplet(cfg["n"])
     s = model.analytic_spectrum(mult, cfg["e_gap"])
     crit = model.critical_couplings(mult, cfg["e_gap"])
@@ -294,16 +293,14 @@ def cmd_spectrum(cfg: dict) -> int:
             ],
             "critical_couplings": [float(cp.lambda_c) for cp in crit],
         }
-        _emit(_dump_json(payload), cfg.get("out"))
-        return _EXIT_OK
+        return _dump_json(payload), _EXIT_OK
 
     columns = ["m", "intercept", "slope"] + [f"energy_at_{_g17(x)}" for x in lams]
     comment = "# critical_couplings," + ",".join(_g17(cp.lambda_c) for cp in crit) + "\n"
-    _emit(_rows_text(columns, table, "csv") + comment, cfg.get("out"))
-    return _EXIT_OK
+    return _rows_text(columns, table, "csv") + comment, _EXIT_OK
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict) -> tuple[str, int]:
     if "beta" not in cfg:
         raise ValueError("sweep needs --beta")
     if "lambda_grid" not in cfg:
@@ -311,21 +308,18 @@ def cmd_sweep(cfg: dict) -> int:
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     table = transitions.phase_diagram(s, cfg["beta"], cfg["lambda_grid"])
     if cfg["format"] == "json":
-        _emit(_rows_text(table.COLUMNS, table.values.tolist(), "json"), cfg.get("out"))
-    else:
-        _emit(table.csv_text(), cfg.get("out"))
-    return _EXIT_OK
+        return _rows_text(table.COLUMNS, table.values.tolist(), "json"), _EXIT_OK
+    return table.csv_text(), _EXIT_OK
 
 
-def cmd_zero_t(cfg: dict) -> int:
+def cmd_zero_t(cfg: dict) -> tuple[str, int]:
     if "lambda_grid" not in cfg:
         raise ValueError("zero-t needs --lambda-grid")
     grid = cfg["lambda_grid"]
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     e0, slope, degeneracy = model.ground_level(s, grid)
     rows = zip(grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist())
-    _emit(_rows_text(_ZERO_T_COLUMNS, rows, cfg["format"]), cfg.get("out"))
-    return _EXIT_OK
+    return _rows_text(_ZERO_T_COLUMNS, rows, cfg["format"]), _EXIT_OK
 
 
 def _window(cfg: dict, default_window) -> tuple:
@@ -392,18 +386,13 @@ def _jumps_block(cfg: dict, s, crit) -> dict:
     }
 
 
-def _ceq_block(cfg: dict) -> tuple[dict, bool]:
+def _ceq_block(cfg: dict, xi_window) -> dict:
     # the largest beta given: the residual's dip sharpens as beta grows
     beta = float(cfg["beta"][-1]) if "beta" in cfg else 200.0
-    # the n = 2 levels are e_gap*{-1, -xi, +1} with xi = lambda/e_gap, so at
-    # beta they weigh as the residual's unit-gap levels at beta*e_gap: the
-    # search runs there, in xi
-    e_gap = cfg["e_gap"]
-    lo, hi = _window(cfg, (0.5 * e_gap, 1.5 * e_gap))
-    res = transitions.qpt_from_ceq(beta * e_gap, (lo / e_gap, hi / e_gap), _grid_points(cfg, 257))
+    res = transitions.qpt_from_ceq(beta * cfg["e_gap"], xi_window, _grid_points(cfg, 257))
     # as beta grows the zero-variance condition collapses to its double root xi = 1
     limit = 1.0
-    block = {
+    return {
         "beta": beta,
         "xi_star": res.xi,
         "converged": res.converged,
@@ -411,55 +400,58 @@ def _ceq_block(cfg: dict) -> tuple[dict, bool]:
         "zero_t_limit": limit,
         "delta_to_zero_t": abs(res.xi - limit),
     }
-    return block, res.converged
 
 
-def cmd_critical(cfg: dict) -> int:
-    mult = Multiplet(cfg["n"])
-    s = model.analytic_spectrum(mult, cfg["e_gap"])
-    crit = model.critical_couplings(mult, cfg["e_gap"])
-    method = cfg["method"]
+def cmd_critical(cfg: dict) -> tuple[str, int]:
+    mult, e_gap, method = Multiplet(cfg["n"]), cfg["e_gap"], cfg["method"]
+    s = model.analytic_spectrum(mult, e_gap)
+    crit = model.critical_couplings(mult, e_gap)
 
     if method == "ceq" and mult.n_particles != 2:
         raise ValueError("the closed-form residual search applies to n = 2 only")
     if method in ("peaks", "jumps") and not crit:
         raise ValueError("no crossings exist below 2 particles")
+    # the n = 2 levels are e_gap*{-1, -xi, +1} with xi = lambda/e_gap, so at
+    # beta they weigh as the residual's unit-gap levels at beta*e_gap: the
+    # search runs there, in xi, where the crossing lambda_c = e_gap is xi = 1
+    lo, hi = xi_window = tuple(x / e_gap for x in _window(cfg, (0.5 * e_gap, 1.5 * e_gap)))
+    # an unordered window is left to the search, which rejects it
+    misses_crossing = lo < hi and not lo < 1.0 < hi
+    if method == "ceq" and misses_crossing:
+        raise ValueError(f"the ceq window must contain lambda_c = e_gap = {e_gap:g} strictly")
 
     report = {
         "n_particles": mult.n_particles,
-        "e_gap": cfg["e_gap"],
+        "e_gap": e_gap,
         "analytic": [asdict(cp) for cp in crit],
     }
     exit_code = _EXIT_OK
-    # under all, a schedule too short to track leaves the peak route out,
-    # as away from n = 2 it leaves ceq out
+    # under all, a schedule too short to track leaves the peak route out, as
+    # a window without the crossing, or n != 2, leaves ceq out
     trackable = "beta" not in cfg or len(cfg["beta"]) >= transitions.MIN_SCHEDULE
     if crit and (method == "peaks" or (method == "all" and trackable)):
         report["peaks"] = _peaks_block(cfg, s, crit)
     if crit and method in ("jumps", "all"):
         report["jumps"] = _jumps_block(cfg, s, crit)
-    if method == "ceq" or (method == "all" and mult.n_particles == 2):
-        block, converged = _ceq_block(cfg)
-        report["ceq"] = block
-        if not converged:
+    if method == "ceq" or (method == "all" and mult.n_particles == 2 and not misses_crossing):
+        report["ceq"] = _ceq_block(cfg, xi_window)
+        if not report["ceq"]["converged"]:
             exit_code = _EXIT_NUMERIC
-    _emit(_dump_json(report), cfg.get("out"))
-    return exit_code
+    return _dump_json(report), exit_code
 
 
-def cmd_validate(cfg: dict) -> int:
+def cmd_validate(cfg: dict) -> tuple[str, int]:
     # imported here so that no other command pays for loading mpmath
     from . import validation
 
-    results = validation.run_all(quick=cfg["quick"])
+    results = validation.run_all()
     width = max(len(r.name) for r in results)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results
     ]
     n_fail = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", None)
-    return _EXIT_OK if n_fail == 0 else _EXIT_USAGE
+    return "\n".join(lines) + "\n", _EXIT_OK if n_fail == 0 else _EXIT_USAGE
 
 
 _DISPATCH = {
@@ -484,7 +476,10 @@ def main(argv=None) -> int:
         cfg = _make_config(ns)
         # an overflowing or undefined value is an error in every format
         with np.errstate(over="raise", invalid="raise"):
-            return _DISPATCH[cfg["command"]](cfg)
+            text, exit_code = _DISPATCH[cfg["command"]](cfg)
+        # the one write: exit 0 means every byte of it was written
+        _emit(text, cfg.get("out"))
+        return exit_code
     except NonConvergenceError as exc:
         print(f"su2qpt: numerical non-convergence: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC

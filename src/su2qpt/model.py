@@ -13,6 +13,7 @@ physics turns non-analytic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -153,17 +154,6 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
     return points
 
 
-def _first(pred, lo: int, hi: int) -> int:
-    """The first i in [lo, hi) with pred(i), else hi, for pred false then true."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _levels(s: Spectrum, lam: float, reach) -> slice:
     """The window of levels a kernel sums over at the one point ``lam``.
 
@@ -192,7 +182,9 @@ def _levels(s: Spectrum, lam: float, reach) -> slice:
         # the kernel's float operations, so the same bits
         return slopes.item(i) * lam + intercepts.item(i)
 
-    low = _first(lambda i: energy(i + 1) >= energy(i), 0, n - 1)
+    # bisect_left over the indices finds the first i in [lo, hi) whose key
+    # turns true (else hi), for a key that is false and then true
+    low = bisect_left(range(n), True, 0, n - 1, key=lambda i: energy(i + 1) >= energy(i))
     e_min = energy(low)
     if not math.isfinite(e_min):
         return slice(None)
@@ -200,9 +192,9 @@ def _levels(s: Spectrum, lam: float, reach) -> slice:
     start = min(max(low - _BLOCK_ELEMENTS // 2, 0), n - _BLOCK_ELEMENTS)
     stop = start + _BLOCK_ELEMENTS
     if start > 0 and energy(start - 1) - e_min <= bound:
-        start = _first(lambda i: energy(i) - e_min <= bound, 0, start - 1)
+        start = bisect_left(range(n), True, 0, start - 1, key=lambda i: energy(i) - e_min <= bound)
     if stop < n and energy(stop) - e_min <= bound:
-        stop = _first(lambda i: energy(i) - e_min > bound, stop + 1, n)
+        stop = bisect_left(range(n), True, stop + 1, n, key=lambda i: energy(i) - e_min > bound)
     return slice(start, stop)
 
 

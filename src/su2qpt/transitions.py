@@ -339,9 +339,11 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     it forms a deep dip at xi = 1 flanked by two humps a few 1/beta
     away.  When both humps show up on the scan grid the dip between them
     is golden-sectioned directly, which keeps the search robust to grid
-    alignment; otherwise the plain grid minimum is refined, and a
-    minimum on the interval boundary is flagged as unconverged (at small
-    beta the residual is monotone and there is nothing to find).
+    alignment; otherwise the plain grid minimum is refined.  A minimum on
+    the interval boundary or on an end of its refinement's bracket is
+    flagged as unconverged (at small beta the residual is monotone and
+    there is nothing to find; a bracket the grid cut across unresolved
+    humps does not hold the minimum).
 
     The closed forms behind the residual fix the gap at 1, so the
     interval must straddle 1.  Intended for beta up to around 1e3; past
@@ -358,20 +360,25 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     def f(x: float) -> float:
         return thermo.ceq_scaled_residual(x, beta)
 
+    def refined(a: float, b: float) -> CeqSearchResult:
+        xtol = 1e-8
+        xi = float(_golden_min(_pointwise(f), a, b, xtol=xtol))
+        # a minimum refined onto an end of its bracket lies at or past it
+        converged = a + xtol < xi < b - xtol
+        return CeqSearchResult(xi=xi, converged=converged, residual=float(f(xi)))
+
     grid, vals = _scan(_pointwise(f), (lo, hi), grid_points)
     maxima = _interior_maxima(vals)
     if len(maxima) >= 2:
         left_hump, right_hump = sorted(sorted(maxima, key=lambda i: vals[i])[-2:])
         a, b = float(grid[left_hump]), float(grid[right_hump])
         if a < 1.0 < b:
-            xi = float(_golden_min(_pointwise(f), a, b, xtol=1e-8))
-            return CeqSearchResult(xi=xi, converged=True, residual=float(f(xi)))
+            return refined(a, b)
 
     i = int(np.argmin(vals))
     if i == 0 or i == len(grid) - 1:
         return CeqSearchResult(xi=float(grid[i]), converged=False, residual=float(vals[i]))
-    xi = float(_golden_min(_pointwise(f), float(grid[i - 1]), float(grid[i + 1]), xtol=1e-8))
-    return CeqSearchResult(xi=xi, converged=True, residual=float(f(xi)))
+    return refined(float(grid[i - 1]), float(grid[i + 1]))
 
 
 CSV_HEADER = ",".join(thermo.COLUMNS)

@@ -348,19 +348,7 @@ def check_determinism():
     return ok, f"{len(b1)} bytes, identical" if ok else "outputs differ"
 
 
-def run_all(quick: bool = False) -> list[CheckResult]:
-    """Run the acceptance suite; quick mode skips the slow peak-tracking check."""
-    checks = [
-        check_critical_couplings,
-        check_eigenvalue_lists,
-        check_n2_transition,
-        check_zero_t_staircase,
-    ]
-    if not quick:
-        checks.append(check_remnant_peaks)
-    checks += [
-        check_thermo_properties,
-        check_robustness,
-        check_determinism,
-    ]
-    return [fn() for fn in checks]
+def run_all() -> list[CheckResult]:
+    """Run the acceptance suite: every check in ``__all__``, in its order."""
+    # looked up by name at the call, so a wrapper set on the module attribute runs
+    return [globals()[name]() for name in __all__ if name.startswith("check_")]

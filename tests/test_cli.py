@@ -132,8 +132,11 @@ def test_cli_import_leaves_mpmath_unloaded():
             [("thermo.ceq_scaled_residual", "transitions.qpt_from_ceq")],
         ),
         (
-            ["validate", "--quick"],
-            [("eigensolver.jacobi_eigenvalues", "validation.check_eigenvalue_lists")],
+            ["validate"],
+            [
+                ("eigensolver.jacobi_eigenvalues", "validation.check_eigenvalue_lists"),
+                ("thermo.observables_grid", "validation.check_remnant_peaks"),
+            ],
         ),
     ],
     ids=["spectrum", "sweep", "critical", "ceq", "validate"],
@@ -559,6 +562,26 @@ class TestCritical:
         doc = json.loads(out)
         assert doc["ceq"]["converged"] is False
 
+    def test_ceq_ending_on_its_bracket_exits_two(self, capsys):
+        # beta*e_gap = 2000: the humps fall between grid points and the
+        # refinement runs onto an end of a bracket that misses the dip
+        rc, out, _ = run(["critical", "--n", "2", "--e-gap", "10"], capsys)
+        assert rc == 2
+        doc = json.loads(out)
+        assert doc["ceq"]["converged"] is False
+        assert {"peaks", "jumps"} <= set(doc)
+
+    def test_window_without_the_crossing_leaves_ceq_out(self, capsys):
+        argv = ["critical", "--n", "2", "--e-gap", "2", "--lambda-grid", "0.5:1.5:100"]
+        rc, out, err = run(argv, capsys)
+        assert rc == 0, err
+        assert set(json.loads(out)) == {"n_particles", "e_gap", "analytic", "peaks", "jumps"}
+        # asked for alone, the route names the crossing in the user's units
+        rc, out, err = run([*argv, "--method", "ceq"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == "su2qpt: error: the ceq window must contain lambda_c = e_gap = 2 strictly\n"
+
     def test_short_peak_schedule_is_usage_error(self, capsys):
         rc, _, err = run(["critical", "--n", "4", "--method", "peaks", "--beta", "200"], capsys)
         assert rc == 1
@@ -662,18 +685,29 @@ class TestConfigFile:
 
 
 class TestValidate:
-    def test_quick_suite_passes(self, capsys):
-        rc, out, _ = run(["validate", "--quick"], capsys)
+    def test_suite_passes(self, capsys):
+        rc, out, _ = run(["validate"], capsys)
         # the table names a failed check and its elapsed time against its budget
         assert rc == 0, out
         assert "PASS" in out
         assert "FAIL" not in out
-        assert "checks passed" in out
+        assert "8/8 checks passed" in out
 
-    def test_quick_skips_the_slow_check(self):
-        names = [r.name for r in validation.run_all(quick=True)]
-        assert not any("remnant" in n for n in names)
-        assert len(names) == 7
+    def test_runs_each_check_by_its_module_name(self, monkeypatch):
+        # a tracer wraps the checks by module attribute, so run_all must
+        # look them up when it is called
+        seen = []
+        real = validation.check_remnant_peaks
+
+        def wrapped():
+            seen.append(True)
+            return real()
+
+        monkeypatch.setattr(validation, "check_remnant_peaks", wrapped)
+        names = [r.name for r in validation.run_all()]
+        assert seen == [True]
+        assert len(names) == 8
+        assert names[4] == "remnant peak tracking"
 
     def test_sign_flip_mutation_is_caught(self, monkeypatch, capsys):
         real = thermo_module.observables
@@ -685,6 +719,6 @@ class TestValidate:
         monkeypatch.setattr(thermo_module, "observables", flipped)
         result = validation.check_thermo_properties()
         assert not result.passed
-        rc, out, _ = run(["validate", "--quick"], capsys)
+        rc, out, _ = run(["validate"], capsys)
         assert rc == 1
         assert "FAIL" in out

@@ -1,7 +1,8 @@
-"""Each evaluation policy has one owner, and each public name and option one declaration.
+"""Each evaluation policy has one owner, each public name and option one declaration,
+and the CLI's output one write.
 
 ``model`` blocks, windows and ties levels; the package re-exports its modules' ``__all__``;
-a CLI flag's dest is its config key.
+a CLI flag's dest is its config key; the commands return their output and ``main`` writes it.
 """
 
 import ast
@@ -69,4 +70,19 @@ def test_each_option_has_one_name():
     # a flag's dest is its config key, so no code renames one into the other
     (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
     dests = {a.dest for sub in commands.choices.values() for a in sub._actions} - {"help"}
-    assert dests - {"config", "quick"} == cli._CONFIG_KEYS
+    assert dests - {"config"} == cli._CONFIG_KEYS
+
+
+def test_main_is_the_one_write_site():
+    # so "exit 0 means every byte was written" has one owner for every command
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    writers = [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
+    ]
+    assert writers == ["main"]
+    for command in cli._DISPATCH.values():
+        assert command.__annotations__["return"] == "tuple[str, int]", command.__name__

@@ -498,6 +498,18 @@ class TestCeqSearch:
         res = qpt_from_ceq(0.1, (0.5, 1.5))
         assert not res.converged
 
+    def test_refinement_ending_on_its_bracket_is_unconverged(self):
+        # at beta 1500 the humps fall between grid points, and the bracket
+        # around the grid minimum 1 + 1/256 does not hold the dip
+        res = qpt_from_ceq(1500.0, (0.5, 1.5))
+        assert not res.converged
+
+    def test_grid_minimum_refines_without_humps(self):
+        # a window too narrow for the humps: the grid minimum is refined
+        res = qpt_from_ceq(200.0, (0.99, 1.01))
+        assert res.converged
+        assert abs(res.xi - 1.0) <= 1e-6
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             qpt_from_ceq(200.0, (1.5, 0.5))
