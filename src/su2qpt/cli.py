@@ -92,7 +92,8 @@ def _validate_grid(vals: np.ndarray, label) -> np.ndarray:
         raise ValueError(f"grid {label!r} is empty")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"grid {label!r} has non-finite values")
-    if vals.size > 1 and not np.all(np.diff(vals) > 0):
+    # neighbours compared, not subtracted: a difference of finite values can overflow
+    if not np.all(vals[1:] > vals[:-1]):
         raise ValueError(f"grid {label!r} must be strictly increasing")
     return vals
 
@@ -473,9 +474,9 @@ def main(argv=None) -> int:
             return _EXIT_OK
         return code if isinstance(code, int) else _EXIT_USAGE
     try:
-        cfg = _make_config(ns)
         # an overflowing or undefined value is an error in every format
         with np.errstate(over="raise", invalid="raise"):
+            cfg = _make_config(ns)
             text, exit_code = _DISPATCH[cfg["command"]](cfg)
         # the one write: exit 0 means every byte of it was written
         _emit(text, cfg.get("out"))

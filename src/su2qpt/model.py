@@ -22,6 +22,7 @@ import numpy as np
 from .spin_algebra import Multiplet
 
 __all__ = [
+    "DEGENERACY_RTOL",
     "Spectrum",
     "CriticalPoint",
     "analytic_spectrum",
@@ -132,26 +133,21 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
     """All couplings where the ground state switches branch, ascending.
 
     The nth crossing pairs M = -J+n-1 with M = -J+n at
-    lam = e_gap/(N - (2n-1)); enumeration stops once the denominator is
-    no longer positive.  Below N = 2 there is no crossing at positive
+    lam = e_gap/(N - (2n-1)), for n = 1 .. N // 2, the n whose
+    denominator is positive.  Below N = 2 there is no crossing at positive
     coupling and the list is empty.
     """
     _check_e_gap(e_gap)
-    points = []
-    n_p = m.n_particles
-    j = m.j
-    n = 1
-    while n_p - (2 * n - 1) > 0:
-        points.append(
-            CriticalPoint(
-                n=n,
-                lambda_c=e_gap / (n_p - (2 * n - 1)),
-                lower_m=-j + (n - 1),
-                upper_m=-j + n,
-            )
+    n_p, j = m.n_particles, m.j
+    return [
+        CriticalPoint(
+            n=n,
+            lambda_c=e_gap / (n_p - (2 * n - 1)),
+            lower_m=-j + (n - 1),
+            upper_m=-j + n,
         )
-        n += 1
-    return points
+        for n in range(1, n_p // 2 + 1)
+    ]
 
 
 def _levels(s: Spectrum, lam: float, reach) -> slice:

@@ -204,21 +204,14 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     [(_, columns, p_levels, levels)] = _kernel(s, beta, np.asarray(lam, dtype=float))
     p = np.zeros(s.slopes.size)
     p[levels] = p_levels[0]
-    log_z, mean_energy, entropy, c_star_beta, c_star_lambda, specific_heat = (
-        c.item() for c in columns
-    )
     p.setflags(write=False)
+    fields = dict(zip(COLUMNS[2:], (c.item() for c in columns)))
     return ThermalObservables(
         beta=beta,
         lam=lam,
-        log_z=log_z,
-        mean_energy=mean_energy,
-        energy_variance=-c_star_beta,
-        c_star_beta=c_star_beta,
-        c_star_lambda=c_star_lambda,
-        specific_heat=specific_heat,
-        entropy=entropy,
+        energy_variance=-fields["c_star_beta"],
         occupations=p,
+        **fields,
     )
 
 

@@ -27,7 +27,9 @@ __all__ = [
     "CeqSearchResult",
     "SweepTable",
     "CSV_HEADER",
+    "MIN_SCHEDULE",
     "find_peaks",
+    "nearest_crossing",
     "track_peaks_to_zero_t",
     "detect_jumps",
     "qpt_from_ceq",
@@ -138,7 +140,7 @@ def _bisect(inside, a, b, xtol: float) -> tuple[np.ndarray, np.ndarray]:
 def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """A uniform grid of grid_points over window = (lo, hi), and f(grid).
 
-    f maps the whole grid to the array of its values; ``_pointwise``
+    f maps the whole grid to the array of its values; ``np.vectorize``
     lifts a function of one coupling to that form.
     """
     if grid_points < 16:
@@ -148,11 +150,6 @@ def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("interval must satisfy lo < hi")
     grid = np.linspace(lo, hi, grid_points)
     return grid, f(grid)
-
-
-def _pointwise(f):
-    """f applied to each point of a grid of any shape, as a function of the grid."""
-    return lambda grid: np.array([f(x) for x in np.ravel(grid)]).reshape(np.shape(grid))
 
 
 def _interior_maxima(y: np.ndarray) -> np.ndarray:
@@ -195,9 +192,11 @@ def find_peaks(
     rows = zip(lam_star.tolist(), height.tolist(), width.tolist())
     peaks = [PeakEstimate(lam, h, w, beta) for lam, h, w in rows]
 
-    # a flat-topped maximum sampled twice refines to the same point; keep one
+    # a flat-topped maximum sampled twice refines to the same point; keep one.
+    # The peaks are in order already: each refines inside its two grid cells,
+    # and strict maxima are two samples apart, so their brackets share at most an end.
     deduped: list[PeakEstimate] = []
-    for pk in sorted(peaks, key=lambda p: p.lambda_at_peak):
+    for pk in peaks:
         if deduped and abs(pk.lambda_at_peak - deduped[-1].lambda_at_peak) < 2e-8:
             if pk.height > deduped[-1].height:
                 deduped[-1] = pk
@@ -357,17 +356,21 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     if lo < hi and not lo < 1.0 < hi:
         raise ValueError("search interval must contain the crossing coupling 1 strictly")
 
-    def f(x: float) -> float:
+    def residual(x: float) -> float:
+        # looked up at each call, so a wrapper set on the module attribute runs
         return thermo.ceq_scaled_residual(x, beta)
+
+    # otypes spares np.vectorize an extra call per use to learn the output type
+    f = np.vectorize(residual, otypes=[float])
 
     def refined(a: float, b: float) -> CeqSearchResult:
         xtol = 1e-8
-        xi = float(_golden_min(_pointwise(f), a, b, xtol=xtol))
+        xi = float(_golden_min(f, a, b, xtol=xtol))
         # a minimum refined onto an end of its bracket lies at or past it
         converged = a + xtol < xi < b - xtol
         return CeqSearchResult(xi=xi, converged=converged, residual=float(f(xi)))
 
-    grid, vals = _scan(_pointwise(f), (lo, hi), grid_points)
+    grid, vals = _scan(f, (lo, hi), grid_points)
     maxima = _interior_maxima(vals)
     if len(maxima) >= 2:
         left_hump, right_hump = sorted(sorted(maxima, key=lambda i: vals[i])[-2:])

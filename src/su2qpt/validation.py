@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import wraps
 from time import perf_counter
 
@@ -127,20 +127,17 @@ def check_eigenvalue_lists():
     """Closed-form (intercept, slope) pairs, cross-checked by Jacobi on the
     x-axis form of the Hamiltonian."""
     lams = (0.0, 0.1, 1 / 3, 0.5, 1.0, 1.7)
-    ok = True
     worst = 0.0
     for n, pairs in _EXPECTED_PAIRS.items():
         mult = Multiplet(n)
         s = model.analytic_spectrum(mult)
-        got = list(zip(s.intercepts.tolist(), s.slopes.tolist()))
-        if got != pairs:
-            ok = False
-            break
+        if list(zip(s.intercepts.tolist(), s.slopes.tolist())) != pairs:
+            return False, f"(intercept, slope) pairs differ at N={n}"
         for lam in lams:
             jac = jacobi_eigenvalues(_x_axis_hamiltonian(mult, lam)).values
             ana = np.sort(s.energies(lam))
             worst = max(worst, float(np.abs(jac - ana).max()))
-    return ok and worst <= 1e-10, f"pairs exact, max |jacobi - analytic| = {worst:.2e}"
+    return worst <= 1e-10, f"pairs exact, max |jacobi - analytic| = {worst:.2e}"
 
 
 @_check("N=2 exact transition", budget=1.0)
@@ -168,14 +165,12 @@ _STAIRCASES = {
 def check_zero_t_staircase():
     """Jump locations, plateau values and midpoints of the zero-T staircase."""
     tol = 1e-9
-    ok = True
     worst = 0.0
     for n, (lams_c, plateaus, midpoints) in _STAIRCASES.items():
         s = model.analytic_spectrum(Multiplet(n))
         jumps = transitions.detect_jumps(s, (0.0, 1.4))
         if len(jumps) != len(lams_c):
-            ok = False
-            break
+            return False, f"{len(jumps)} jumps found at N={n}, {len(lams_c)} expected"
         for k, jp in enumerate(jumps):
             errs = (
                 abs(jp.lam - lams_c[k]),
@@ -184,8 +179,7 @@ def check_zero_t_staircase():
                 abs(jp.midpoint_value - midpoints[k]),
             )
             worst = max(worst, *errs)
-        ok = ok and worst <= tol
-    return ok, f"max deviation {worst:.2e} (tol {tol:g})"
+    return worst <= tol, f"max deviation {worst:.2e} (tol {tol:g})"
 
 
 @_check("remnant peak tracking", budget=10.0)
@@ -255,7 +249,6 @@ def _mp_fd_lambda(s: Spectrum, beta: float, lam: float) -> float:
 @_check("thermo engine properties", budget=5.0)
 def check_thermo_properties():
     """Occupations, shift invariance, FD-vs-moment derivatives, entropy limits."""
-    ok = True
     notes = []
     shift = 0.37
     worst_fd = 0.0
@@ -268,7 +261,6 @@ def check_thermo_properties():
                     obs = thermo.observables(s, beta, lam)
                     p = obs.occupations
                     if abs(float(p.sum()) - 1.0) > 1e-12 or p.min() < 0 or p.max() > 1:
-                        ok = False
                         notes.append(f"occupations broken at n={n} beta={beta} lam={lam}")
                     obs_sh = thermo.observables(shifted, beta, lam)
                     inv = (
@@ -280,15 +272,12 @@ def check_thermo_properties():
                         and float(np.abs(obs_sh.occupations - p).max()) <= 1e-10
                     )
                     if not inv:
-                        ok = False
                         notes.append(f"shift invariance broken at n={n} beta={beta} lam={lam}")
                     fd_b = _mp_fd_beta(s, beta, lam)
                     fd_l = _mp_fd_lambda(s, beta, lam)
                     if not _rel_ok(obs.c_star_beta, fd_b, 1e-5):
-                        ok = False
                         notes.append(f"c_star_beta FD mismatch at n={n} beta={beta} lam={lam}")
                     if not _rel_ok(obs.c_star_lambda, fd_l, 1e-5):
-                        ok = False
                         notes.append(f"c_star_lambda FD mismatch at n={n} beta={beta} lam={lam}")
                     worst_fd = max(
                         worst_fd,
@@ -297,39 +286,25 @@ def check_thermo_properties():
                     )
                     sh_exact = obs.specific_heat == -(beta * beta) * obs.c_star_beta
                     if not (sh_exact and obs.specific_heat >= 0.0):
-                        ok = False
                         notes.append(f"specific heat identity broken at n={n} beta={beta} lam={lam}")
             if abs(thermo.observables(s, 0.0, 0.7).entropy - math.log(n + 1)) > 1e-12:
-                ok = False
                 notes.append(f"entropy(beta=0) != ln(N+1) at n={n}")
             lam_c1 = model.critical_couplings(Multiplet(n))[0].lambda_c
             if abs(thermo.observables(s, 300.0, lam_c1).entropy - math.log(2.0)) > 1e-6:
-                ok = False
                 notes.append(f"entropy(beta=300, lambda_c) != ln 2 at n={n}")
-    return ok, "; ".join(notes[:3]) if notes else f"max FD mismatch {worst_fd:.2e} rel"
+    return not notes, "; ".join(notes[:3]) if notes else f"max FD mismatch {worst_fd:.2e} rel"
 
 
 @_check("numerical robustness at N=32", budget=1.0)
 def check_robustness():
     """No overflow or NaN at N=32 for beta up to 1e4 and lam up to 2."""
     s = model.analytic_spectrum(Multiplet(32))
-    ok = True
-    for beta in (0.0, 1.0, 110.0, 1e4):
-        for lam in (0.0, 0.5, 1.0, 2.0):
-            obs = thermo.observables(s, beta, lam)
-            scalars = (
-                obs.log_z,
-                obs.mean_energy,
-                obs.energy_variance,
-                obs.c_star_beta,
-                obs.c_star_lambda,
-                obs.specific_heat,
-                obs.entropy,
-            )
-            if not all(math.isfinite(v) for v in scalars):
-                ok = False
-            if not np.all(np.isfinite(obs.occupations)):
-                ok = False
+    ok = all(
+        np.isfinite(field).all()
+        for beta in (0.0, 1.0, 110.0, 1e4)
+        for lam in (0.0, 0.5, 1.0, 2.0)
+        for field in astuple(thermo.observables(s, beta, lam))
+    )
     return ok, "all observables finite" if ok else "non-finite value encountered"
 
 

@@ -450,6 +450,21 @@ class TestZeroT:
         assert rc == 1
         assert "lambda-grid" in err
 
+    def test_wide_grid_parses_without_a_warning(self, tmp_path, capsys):
+        # the neighbours' difference overflows, but the grid is valid
+        want = "-1.6999999999999999e+308,0,-0.5,1\n1.6999999999999999e+308,0,-0.5,1\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 1, "lambda_grid": [-1.7e308, 1.7e308]}))
+        for argv in (["--n", "1", "--lambda-grid=-1.7e308,1.7e308"], ["--config", str(cfg)]):
+            rc, out, err = run(["zero-t", *argv], capsys)
+            assert (rc, err) == (0, "")
+            assert out.endswith(want)
+
+    def test_overflowing_grid_spec_is_one_error_line(self, capsys):
+        rc, out, err = run(["zero-t", "--n", "1", "--lambda-grid=-1.7e308:1.7e308:3"], capsys)
+        assert (rc, out) == (1, "")
+        assert err == "su2qpt: error: overflow encountered in subtract\n"
+
 
 class TestCritical:
     def test_default_report_n8(self, capsys):

@@ -66,6 +66,20 @@ def test_the_package_exports_each_module_all_once():
     assert not set(declared[1:]) & names(init)
 
 
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_public_name_a_module_defines_is_in_its_all(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    public = {d for d in defined if not d.startswith("_")}
+    assert not public - set(importlib.import_module(f"su2qpt.{name}").__all__)
+
+
 def test_each_option_has_one_name():
     # a flag's dest is its config key, so no code renames one into the other
     (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]

@@ -163,6 +163,14 @@ def test_critical_couplings_below_two_particles():
     assert critical_couplings(Multiplet(1)) == []
 
 
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_odd_n_stops_at_half_the_gap(n):
+    # N // 2 crossings; the last has denominator N - (2*(N // 2) - 1) = 2
+    cps = critical_couplings(Multiplet(n), e_gap=0.37)
+    assert [cp.n for cp in cps] == list(range(1, n // 2 + 1))
+    assert cps[-1].lambda_c == 0.37 / 2
+
+
 def ground_reference(s: Spectrum, lam: float):
     """Ground energy, mean ground slope and degeneracy, one level at a time.
 

@@ -40,4 +40,6 @@ def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
     # one example writes a file, so each runs in a directory of its own
     monkeypatch.chdir(tmp_path)
     rc = cli.main(shlex.split(line, comments=True)[1:])
-    assert rc == 0, capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a successful run writes nothing to stderr
+    assert (rc, err) == (0, "")
