@@ -20,7 +20,6 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -79,7 +78,10 @@ def parse_grid(text: str) -> np.ndarray:
             return np.array([a])
         if not a < b:
             raise ValueError("grid start must be below stop")
-        return np.linspace(a, b, k)
+        # a Python float difference overflows to inf without a warning
+        if b - a == np.inf:
+            raise ValueError(f"grid {text!r} spans more than the float range")
+        return _validate_grid(np.linspace(a, b, k), text)
     try:
         vals = np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError:
@@ -292,12 +294,12 @@ def cmd_spectrum(cfg: dict) -> tuple[str, int]:
                 {"m": row[0], "intercept": row[1], "slope": row[2], "energies": row[3:]}
                 for row in table
             ],
-            "critical_couplings": [float(cp.lambda_c) for cp in crit],
+            "critical_couplings": crit.tolist(),
         }
         return _dump_json(payload), _EXIT_OK
 
     columns = ["m", "intercept", "slope"] + [f"energy_at_{_g17(x)}" for x in lams]
-    comment = "# critical_couplings," + ",".join(_g17(cp.lambda_c) for cp in crit) + "\n"
+    comment = "# critical_couplings," + ",".join(map(_g17, crit.tolist())) + "\n"
     return _rows_text(columns, table, "csv") + comment, _EXIT_OK
 
 
@@ -335,12 +337,11 @@ def _grid_points(cfg: dict, default_points: int) -> int:
 
 
 def _peaks_block(cfg: dict, s, crit) -> dict:
-    lams_c = [cp.lambda_c for cp in crit]
     # the default window brackets every crossing with a 20% margin
-    window = _window(cfg, (0.8 * min(lams_c), 1.2 * max(lams_c)))
+    window = _window(cfg, (0.8 * crit[0].item(), 1.2 * crit[-1].item()))
     schedule = [float(b) for b in cfg.get("beta", (70.0, 90.0, 110.0))]
     result = transitions.track_peaks_to_zero_t(
-        s, schedule, window, _grid_points(cfg, 1024), critical_points=crit
+        s, schedule, window, _grid_points(cfg, 1024), crossings=crit
     )
     beta_max = max(schedule)
     final_offsets = [t.offset for t in result.peaks if t.beta == beta_max]
@@ -364,13 +365,12 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
 
 
 def _jumps_block(cfg: dict, s, crit) -> dict:
-    lams_c = [cp.lambda_c for cp in crit]
-    window = _window(cfg, (0.0, 1.2 * max(lams_c)))
+    window = _window(cfg, (0.0, 1.2 * crit[-1].item()))
     jumps = transitions.detect_jumps(s, window)
     plateaus = []
     if jumps:
         plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
-    _, distances, _ = transitions.nearest_crossing(lams_c, [j.lam for j in jumps])
+    _, distances, _ = transitions.nearest_crossing(crit, [j.lam for j in jumps])
     return {
         "window": list(window),
         "jumps": [
@@ -410,7 +410,7 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
 
     if method == "ceq" and mult.n_particles != 2:
         raise ValueError("the closed-form residual search applies to n = 2 only")
-    if method in ("peaks", "jumps") and not crit:
+    if method in ("peaks", "jumps") and not crit.size:
         raise ValueError("no crossings exist below 2 particles")
     # the n = 2 levels are e_gap*{-1, -xi, +1} with xi = lambda/e_gap, so at
     # beta they weigh as the residual's unit-gap levels at beta*e_gap: the
@@ -421,18 +421,23 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
     if method == "ceq" and misses_crossing:
         raise ValueError(f"the ceq window must contain lambda_c = e_gap = {e_gap:g} strictly")
 
+    ms = s.m_values.tolist()
     report = {
         "n_particles": mult.n_particles,
         "e_gap": e_gap,
-        "analytic": [asdict(cp) for cp in crit],
+        # crossing n pairs levels n-1 and n of m_values
+        "analytic": [
+            {"n": n, "lambda_c": lam, "lower_m": lower, "upper_m": upper}
+            for n, (lam, lower, upper) in enumerate(zip(crit.tolist(), ms, ms[1:]), 1)
+        ],
     }
     exit_code = _EXIT_OK
     # under all, a schedule too short to track leaves the peak route out, as
     # a window without the crossing, or n != 2, leaves ceq out
     trackable = "beta" not in cfg or len(cfg["beta"]) >= transitions.MIN_SCHEDULE
-    if crit and (method == "peaks" or (method == "all" and trackable)):
+    if crit.size and (method == "peaks" or (method == "all" and trackable)):
         report["peaks"] = _peaks_block(cfg, s, crit)
-    if crit and method in ("jumps", "all"):
+    if crit.size and method in ("jumps", "all"):
         report["jumps"] = _jumps_block(cfg, s, crit)
     if method == "ceq" or (method == "all" and mult.n_particles == 2 and not misses_crossing):
         report["ceq"] = _ceq_block(cfg, xi_window)

@@ -24,7 +24,6 @@ from .spin_algebra import Multiplet
 __all__ = [
     "DEGENERACY_RTOL",
     "Spectrum",
-    "CriticalPoint",
     "analytic_spectrum",
     "critical_couplings",
     "ground_level",
@@ -107,16 +106,6 @@ class Spectrum:
         return True
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """The nth ground-state crossing: coupling and the pair of levels that meet."""
-
-    n: int
-    lambda_c: float
-    lower_m: float
-    upper_m: float
-
-
 def analytic_spectrum(m: Multiplet, e_gap: float = 1.0) -> Spectrum:
     """Closed-form eigenlevels: intercept e_gap*M, slope M^2 - J^2.
 
@@ -129,25 +118,21 @@ def analytic_spectrum(m: Multiplet, e_gap: float = 1.0) -> Spectrum:
     return Spectrum(ms, e_gap * ms, ms * ms - m.j * m.j)
 
 
-def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> list[CriticalPoint]:
-    """All couplings where the ground state switches branch, ascending.
+def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> np.ndarray:
+    """All couplings where the ground state switches branch, ascending, read-only.
 
-    The nth crossing pairs M = -J+n-1 with M = -J+n at
-    lam = e_gap/(N - (2n-1)), for n = 1 .. N // 2, the n whose
-    denominator is positive.  Below N = 2 there is no crossing at positive
-    coupling and the list is empty.
+    Crossing n = 1 .. N // 2, the n whose denominator is positive, sits at
+    lam = e_gap/(N - (2n-1)) and pairs levels n-1 and n of
+    ``analytic_spectrum(m, e_gap).m_values``, M = -J+n-1 and M = -J+n.
+    Below N = 2 there is no crossing at positive coupling and the array is
+    empty.
     """
     _check_e_gap(e_gap)
-    n_p, j = m.n_particles, m.j
-    return [
-        CriticalPoint(
-            n=n,
-            lambda_c=e_gap / (n_p - (2 * n - 1)),
-            lower_m=-j + (n - 1),
-            upper_m=-j + n,
-        )
-        for n in range(1, n_p // 2 + 1)
-    ]
+    n_p = m.n_particles
+    # a float over exact integers: each coupling has the bits of the scalar division
+    couplings = e_gap / (n_p - (2 * np.arange(1, n_p // 2 + 1) - 1))
+    couplings.setflags(write=False)
+    return couplings
 
 
 def _levels(s: Spectrum, lam: float, reach) -> slice:

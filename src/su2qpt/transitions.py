@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import model, thermo
-from .model import CriticalPoint, Spectrum
+from .model import Spectrum
 
 __all__ = [
     "PeakEstimate",
@@ -238,7 +238,7 @@ def nearest_crossing(crossings, lams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     goes to the lower crossing, also where rounding ties crossings
     further down.  ``crossings`` must not be empty.
     """
-    c = np.array([-math.inf, *sorted(crossings), math.inf])
+    c = np.concatenate(([-math.inf], np.sort(crossings), [math.inf]))
     lam = np.asarray(lams, dtype=float)
     k = np.searchsorted(c, lam)
     j = np.where(c[k] - lam < lam - c[k - 1], k, k - 1)
@@ -254,33 +254,32 @@ def track_peaks_to_zero_t(
     lambda_range,
     grid_points: int = 512,
     *,
-    critical_points: list[CriticalPoint],
+    crossings,
 ) -> TrackingResult:
     """Follow remnant peaks along an increasing beta schedule.
 
-    Each refined peak is assigned to the nearest of ``critical_points``,
-    the spectrum's analytic crossings (``model.critical_couplings``), and
-    its offset recorded; as beta grows the offsets, heights and widths
-    all shrink toward the zero-temperature limit.  A peak sitting far
-    from every crossing (more than a quarter of the distance to the next
-    one) means neighbouring remnants have merged at that temperature;
-    such peaks are still reported, with an explicit warning, rather than
-    silently reassigned.
+    Each refined peak is assigned to the nearest of ``crossings``, the
+    couplings of the spectrum's analytic crossings
+    (``model.critical_couplings``), and its offset recorded; as beta grows
+    the offsets, heights and widths all shrink toward the zero-temperature
+    limit.  A peak sitting far from every crossing (more than a quarter of
+    the distance to the next one) means neighbouring remnants have merged
+    at that temperature; such peaks are still reported, with an explicit
+    warning, rather than silently reassigned.
     """
     schedule = [float(b) for b in beta_schedule]
     if len(schedule) < MIN_SCHEDULE:
         raise ValueError(f"beta schedule needs at least {MIN_SCHEDULE} values")
     if any(b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])):
         raise ValueError("beta schedule must be strictly increasing")
-    crit = [cp.lambda_c for cp in critical_points]
-    if not crit:
+    if not np.size(crossings):
         raise ValueError("no crossings to track; the model needs at least 2 particles")
 
     tracked: list[TrackedPeak] = []
     warnings: list[str] = []
     for beta in schedule:
         peaks = find_peaks(s, beta, lambda_range, grid_points)
-        near, offsets, gaps = nearest_crossing(crit, [pk.lambda_at_peak for pk in peaks])
+        near, offsets, gaps = nearest_crossing(crossings, [pk.lambda_at_peak for pk in peaks])
         rows = zip(peaks, near.tolist(), offsets.tolist(), gaps.tolist())
         for pk, nearest, offset, gap in rows:
             tracked.append(TrackedPeak(beta, pk, nearest, offset))
@@ -406,11 +405,10 @@ class SweepTable:
         object.__setattr__(self, "values", values)
 
     def csv_text(self) -> str:
-        # '%.17g' % x is format(x, '.17g'), one format string per row
-        row_fmt = ",".join(["%.17g"] * len(self.COLUMNS))
-        lines = [CSV_HEADER]
-        lines += [row_fmt % tuple(row) for row in self.values.tolist()]
-        return "\n".join(lines) + "\n"
+        # '%.17g' % x is format(x, '.17g'); the whole table is one % operation
+        row_fmt = ",".join(["%.17g"] * len(self.COLUMNS)) + "\n"
+        rows = row_fmt * len(self.values) % tuple(self.values.ravel().tolist())
+        return CSV_HEADER + "\n" + rows
 
 
 def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:

@@ -88,7 +88,7 @@ _CROSSINGS = {2: [1.0], 4: [1 / 3, 1.0], 8: [1 / 7, 1 / 5, 1 / 3, 1.0]}
 @_check("critical couplings, analytic", budget=1e-3)
 def check_critical_couplings():
     """Closed-form crossings for N = 2, 4, 8, exact float agreement."""
-    got = {n: [cp.lambda_c for cp in model.critical_couplings(Multiplet(n))] for n in _CROSSINGS}
+    got = {n: model.critical_couplings(Multiplet(n)).tolist() for n in _CROSSINGS}
     ok = got == _CROSSINGS
     return ok, "exact rational agreement" if ok else f"mismatch: {got}"
 
@@ -289,7 +289,7 @@ def check_thermo_properties():
                         notes.append(f"specific heat identity broken at n={n} beta={beta} lam={lam}")
             if abs(thermo.observables(s, 0.0, 0.7).entropy - math.log(n + 1)) > 1e-12:
                 notes.append(f"entropy(beta=0) != ln(N+1) at n={n}")
-            lam_c1 = model.critical_couplings(Multiplet(n))[0].lambda_c
+            lam_c1 = model.critical_couplings(Multiplet(n))[0].item()
             if abs(thermo.observables(s, 300.0, lam_c1).entropy - math.log(2.0)) > 1e-6:
                 notes.append(f"entropy(beta=300, lambda_c) != ln 2 at n={n}")
     return not notes, "; ".join(notes[:3]) if notes else f"max FD mismatch {worst_fd:.2e} rel"

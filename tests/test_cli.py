@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,15 @@ class TestParseGrid:
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(ValueError):
             cli.parse_grid(bad)
+
+    def test_count_form_past_the_float_range_is_an_error(self):
+        # called directly, outside main's np.errstate: no warning, no inf or nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spans more than the float range"):
+                cli.parse_grid("-1.7e308:1.7e308:3")
+            # a span just inside the float range still gives a finite grid
+            assert np.array_equal(cli.parse_grid("-8e307:8e307:3"), [-8e307, 0.0, 8e307])
 
 
 def test_help_exits_zero(capsys):
@@ -463,7 +473,7 @@ class TestZeroT:
     def test_overflowing_grid_spec_is_one_error_line(self, capsys):
         rc, out, err = run(["zero-t", "--n", "1", "--lambda-grid=-1.7e308:1.7e308:3"], capsys)
         assert (rc, out) == (1, "")
-        assert err == "su2qpt: error: overflow encountered in subtract\n"
+        assert err == "su2qpt: error: grid '-1.7e308:1.7e308:3' spans more than the float range\n"
 
 
 class TestCritical:

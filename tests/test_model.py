@@ -128,47 +128,82 @@ def test_e_gap_must_be_finite_and_positive(e_gap):
 
 
 def test_critical_couplings_exact():
-    got = {
-        n: [cp.lambda_c for cp in critical_couplings(Multiplet(n))]
-        for n in (2, 4, 8)
-    }
+    got = {n: critical_couplings(Multiplet(n)).tolist() for n in (2, 4, 8)}
     assert got == {2: [1.0], 4: [1 / 3, 1.0], 8: [1 / 7, 1 / 5, 1 / 3, 1.0]}
 
 
 def test_critical_couplings_crossing_pairs():
-    cps = critical_couplings(Multiplet(8))
-    assert [(cp.n, cp.lower_m, cp.upper_m) for cp in cps] == [
+    # crossing n pairs levels n-1 and n of m_values
+    crit = critical_couplings(Multiplet(8))
+    s = analytic_spectrum(Multiplet(8))
+    ms = s.m_values.tolist()
+    assert [(n, ms[n - 1], ms[n]) for n in range(1, crit.size + 1)] == [
         (1, -4.0, -3.0),
         (2, -3.0, -2.0),
         (3, -2.0, -1.0),
         (4, -1.0, 0.0),
     ]
-    s = analytic_spectrum(Multiplet(8))
-    ms = list(s.m_values)
-    for cp in cps:
-        lo, hi = ms.index(cp.lower_m), ms.index(cp.upper_m)
-        e = s.energies(cp.lambda_c)
-        assert abs(e[lo] - e[hi]) <= 1e-12
-        assert s.slopes[lo] != s.slopes[hi]  # genuine crossing, not a tangency
+    for n, lam_c in enumerate(crit.tolist(), 1):
+        e = s.energies(lam_c)
+        assert abs(e[n - 1] - e[n]) <= 1e-12
+        assert s.slopes[n - 1] != s.slopes[n]  # genuine crossing, not a tangency
 
 
 def test_critical_couplings_scale_with_gap():
-    base = [cp.lambda_c for cp in critical_couplings(Multiplet(8))]
-    scaled = [cp.lambda_c for cp in critical_couplings(Multiplet(8), e_gap=2.5)]
+    base = critical_couplings(Multiplet(8)).tolist()
+    scaled = critical_couplings(Multiplet(8), e_gap=2.5).tolist()
     assert scaled == [2.5 / 7, 2.5 / 5, 2.5 / 3, 2.5]
     assert all(s > b for s, b in zip(scaled, base))
 
 
 def test_critical_couplings_below_two_particles():
-    assert critical_couplings(Multiplet(1)) == []
+    crit = critical_couplings(Multiplet(1))
+    assert crit.shape == (0,) and crit.dtype == np.float64
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_odd_n_stops_at_half_the_gap(n):
     # N // 2 crossings; the last has denominator N - (2*(N // 2) - 1) = 2
-    cps = critical_couplings(Multiplet(n), e_gap=0.37)
-    assert [cp.n for cp in cps] == list(range(1, n // 2 + 1))
-    assert cps[-1].lambda_c == 0.37 / 2
+    crit = critical_couplings(Multiplet(n), e_gap=0.37)
+    assert crit.shape == (n // 2,)
+    assert crit[-1] == 0.37 / 2
+
+
+@given(
+    st.floats(min_value=0.0, max_value=6.0).map(lambda x: int(10.0**x)),
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(1, 1.0, 0)  # no crossing
+@example(2, 1.0, 0)
+@example(3, 0.37, 0)
+@example(4096, 2.5, 0)  # the largest spectrum summed whole
+@example(4097, 0.37, 0)  # the smallest windowed one
+@example(10**6, 1.0, 0)
+def test_critical_couplings_are_the_ground_crossings(n, e_gap, seed):
+    mult = Multiplet(n)
+    crit = critical_couplings(mult, e_gap)
+    k = n // 2
+    assert crit.dtype == np.float64 and crit.shape == (k,)
+    assert not crit.flags.writeable
+    assert np.all(crit[1:] > crit[:-1])
+    if not k:
+        return
+    # at most 2,000 crossings, always the first and the last
+    rng = np.random.default_rng(seed)
+    inner = rng.choice(np.arange(2, k), size=min(max(k - 2, 0), 1998), replace=False)
+    sample = np.unique(np.concatenate(([1, k], inner))).tolist()
+    lams = crit[np.subtract(sample, 1)]
+    assert lams.tolist() == [e_gap / (n - (2 * i - 1)) for i in sample]
+    # crossing i pairs levels i-1 and i, M = -J + i - 1 and M = -J + i; both
+    # are among the levels tied for ground there (a third may tie at large N)
+    s = analytic_spectrum(mult, e_gap)
+    assert s.m_values[sample].tolist() == [-mult.j + i for i in sample]
+    tied = set()
+    for points, _, point, level in model._ties(s, lams):
+        tied.update(zip((point + points.start).tolist(), level.tolist()))
+    for p, i in enumerate(sample):
+        assert {(p, i - 1), (p, i)} <= tied, (n, e_gap, i)
 
 
 def ground_reference(s: Spectrum, lam: float):
@@ -215,7 +250,7 @@ def test_ground_level_is_energy_and_slope_in_one_pass():
     for n in range(2, 65):
         mult = Multiplet(n)
         s = analytic_spectrum(mult)
-        lams = [0.0, 0.37, 2.0] + [cp.lambda_c for cp in critical_couplings(mult)]
+        lams = [0.0, 0.37, 2.0] + critical_couplings(mult).tolist()
         for lam in lams:
             got = ground_level(s, lam)
             assert got == ground_reference(s, lam), (n, lam)
@@ -246,7 +281,7 @@ def test_ground_level_of_a_2d_lam_equals_per_point_calls(n, shape):
     lams = np.linspace(-0.2, 1.5, math.prod(shape))
     crit = critical_couplings(mult)
     at = np.linspace(1, lams.size - 2, 4).astype(int)
-    lams[at] = [cp.lambda_c for cp in (crit[0], crit[1], crit[len(crit) // 2], crit[-1])]
+    lams[at] = crit[[0, 1, len(crit) // 2, -1]]
     lams = lams.reshape(shape)
     energy, slope, degeneracy = ground_level(s, lams)
     assert energy.shape == slope.shape == degeneracy.shape == shape
@@ -284,7 +319,7 @@ def test_grid_rows_equal_zero_d_ground_level_bitwise(n, blocks, seed):
     length = int(blocks * max(1, model._BLOCK_ELEMENTS // (n + 1)))
     rng = np.random.default_rng(seed)
     lams = np.sort(rng.uniform(0.0, 2.0, length))
-    crossings = [cp.lambda_c for cp in critical_couplings(mult)]
+    crossings = critical_couplings(mult).tolist()
     lams[rng.choice(length, size=min(len(crossings), length), replace=False)] = crossings[:length]
     assert_rows_equal_zero_d(s, lams)
 
@@ -293,7 +328,7 @@ def test_grid_rows_equal_zero_d_ground_level_at_large_n():
     mult = Multiplet(300000)
     s = analytic_spectrum(mult)
     crit = critical_couplings(mult)
-    lams = np.array([0.0, 0.3001, crit[-2].lambda_c, crit[-1].lambda_c, 0.98221818181818177])
+    lams = np.array([0.0, 0.3001, crit[-2], crit[-1], 0.98221818181818177])
     assert_rows_equal_zero_d(s, lams)
     assert ground_level(s, lams)[2].tolist() == [1, 1, 2, 2, 1]
 
@@ -302,9 +337,10 @@ def test_every_crossing_is_twofold_degenerate():
     for n in range(2, 65):
         mult = Multiplet(n)
         s = analytic_spectrum(mult)
-        for cp in critical_couplings(mult):
-            got = ground_level(s, cp.lambda_c)
-            assert got == named_levels(s, cp.lambda_c, [cp.lower_m, cp.upper_m])
+        # crossing n pairs M = -J + n - 1 and M = -J + n
+        for n_c, lam_c in enumerate(critical_couplings(mult).tolist(), 1):
+            got = ground_level(s, lam_c)
+            assert got == named_levels(s, lam_c, [-mult.j + n_c - 1, -mult.j + n_c])
 
 
 def test_no_spurious_degeneracy_at_large_n():

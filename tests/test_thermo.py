@@ -86,7 +86,7 @@ def test_occupations_module_level():
 
 def test_equal_split_at_crossing():
     # at lambda_c the two crossing levels share the weight at low T
-    lam_c = critical_couplings(Multiplet(4))[0].lambda_c
+    lam_c = critical_couplings(Multiplet(4))[0].item()
     p = observables(S4, 300.0, lam_c).occupations
     assert abs(p[0] - 0.5) <= 1e-8
     assert abs(p[1] - 0.5) <= 1e-8
@@ -142,8 +142,8 @@ def test_entropy_never_negative(n, beta, lam):
 def test_entropy_limits():
     for n, s in ((2, S2), (4, S4), (8, S8)):
         assert abs(observables(s, 0.0, 0.9).entropy - math.log(n + 1)) <= 1e-15
-        for cp in critical_couplings(Multiplet(n)):
-            assert abs(observables(s, 300.0, cp.lambda_c).entropy - math.log(2.0)) <= 1e-6
+        for lam_c in critical_couplings(Multiplet(n)).tolist():
+            assert abs(observables(s, 300.0, lam_c).entropy - math.log(2.0)) <= 1e-6
     # far from any crossing the ground state is unique: entropy ~ 0
     assert observables(S4, 300.0, 0.15).entropy <= 1e-6
 
@@ -290,7 +290,7 @@ def test_grid_rows_equal_scalar_observables_bitwise(n, beta, blocks, seed):
     length = int(blocks * max(1, model._BLOCK_ELEMENTS // (n + 1)))
     rng = np.random.default_rng(seed)
     lams = np.sort(rng.uniform(0.0, 2.0, length))
-    crossings = [cp.lambda_c for cp in critical_couplings(mult)]
+    crossings = critical_couplings(mult).tolist()
     lams[rng.choice(length, size=min(len(crossings), length), replace=False)] = crossings[:length]
     _assert_rows_equal_scalar(s, beta, lams)
 
@@ -298,7 +298,7 @@ def test_grid_rows_equal_scalar_observables_bitwise(n, beta, blocks, seed):
 def test_grid_rows_equal_scalar_observables_at_large_n():
     mult = Multiplet(300000)
     s = analytic_spectrum(mult)
-    lams = np.array([0.0, 0.3001, critical_couplings(mult)[-2].lambda_c, 0.98221818181818177])
+    lams = np.array([0.0, 0.3001, critical_couplings(mult)[-2], 0.98221818181818177])
     for beta in (0.0, 110.0):
         _assert_rows_equal_scalar(s, beta, lams)
 

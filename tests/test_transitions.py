@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2qpt import thermo, transitions
-from su2qpt.model import CriticalPoint, Spectrum, analytic_spectrum, critical_couplings
+from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
@@ -130,7 +130,7 @@ class TestFindPeaks:
     def test_lockstep_refinement_equals_one_search_per_peak(self, n, e_gap, beta, points, data):
         # one window edge falls among the remnant peaks of a crossing (they
         # sit about 2.4/(beta*slope gap) from it), so windows often cut a flank
-        crit = [cp.lambda_c for cp in critical_couplings(Multiplet(n), e_gap)]
+        crit = critical_couplings(Multiplet(n), e_gap).tolist()
         cut = data.draw(st.sampled_from(crit)) + data.draw(st.floats(-4.0, 4.0)) / beta
         span = 1.2 * crit[-1]
         window = (cut - span, cut) if data.draw(st.booleans()) else (cut, cut + span)
@@ -226,26 +226,26 @@ def _one_search_per_peak(s, beta, window, grid_points):
 
 class TestTrackPeaks:
     def test_resolved_tracking_has_no_warnings(self):
-        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, critical_points=CRIT4)
+        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, crossings=CRIT4)
         assert res.warnings == ()
         assert {t.nearest_critical for t in res.peaks} == {1 / 3, 1.0}
         assert all(t.offset < 0.05 for t in res.peaks)
 
     def test_offsets_shrink_with_beta(self):
-        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512, critical_points=CRIT4)
+        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512, crossings=CRIT4)
         worst = {b: max(t.offset for t in res.peaks if t.beta == b) for b in (70.0, 90.0, 110.0)}
         assert worst[70.0] > worst[90.0] > worst[110.0]
 
     def test_merged_remnants_are_flagged(self):
         # at beta ~ 10 the two crossings share one broad basin
-        res = track_peaks_to_zero_t(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512, critical_points=CRIT4)
+        res = track_peaks_to_zero_t(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512, crossings=CRIT4)
         assert len(res.warnings) > 0
         assert "not" in res.warnings[0] and "resolved" in res.warnings[0]
 
     def test_inferred_gap_for_scaled_model(self):
         s = analytic_spectrum(Multiplet(4), e_gap=2.0)
         crit = critical_couplings(Multiplet(4), e_gap=2.0)
-        res = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, critical_points=crit)
+        res = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, crossings=crit)
         assert res.peaks
         assert {t.nearest_critical for t in res.peaks} == {2 / 3, 2.0}
 
@@ -257,11 +257,10 @@ class TestTrackPeaks:
     @example([1.0], [0.2, 1.0, 7.0])  # one crossing: no gap, so no warning
     @example([0.0, 5e-301, 0.5], [1.0])  # rounding ties crossings that are not neighbours
     def test_each_peak_takes_its_nearest_crossing(self, crit, lams):
-        points = [CriticalPoint(n, c, 0.0, 0.0) for n, c in enumerate(sorted(crit), 1)]
         peaks = [PeakEstimate(lam, 1.0, 0.1, 70.0) for lam in lams]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transitions, "find_peaks", lambda *args: peaks)
-            res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.0, 1.4), critical_points=points)
+            res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.0, 1.4), crossings=crit)
         want, warned = [], 0
         for lam in lams:
             # the rule as two scans over every crossing, ascending
@@ -275,15 +274,15 @@ class TestTrackPeaks:
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            track_peaks_to_zero_t(S4, (70.0, 90.0), (0.0, 1.4), critical_points=CRIT4)
+            track_peaks_to_zero_t(S4, (70.0, 90.0), (0.0, 1.4), crossings=CRIT4)
         with pytest.raises(ValueError):
-            track_peaks_to_zero_t(S4, (70.0, 70.0, 90.0), (0.0, 1.4), critical_points=CRIT4)
+            track_peaks_to_zero_t(S4, (70.0, 70.0, 90.0), (0.0, 1.4), crossings=CRIT4)
         with pytest.raises(ValueError):
             track_peaks_to_zero_t(
                 analytic_spectrum(Multiplet(1)),
                 (70.0, 90.0, 110.0),
                 (0.0, 1.4),
-                critical_points=critical_couplings(Multiplet(1)),
+                crossings=critical_couplings(Multiplet(1)),
             )
 
 
@@ -334,7 +333,7 @@ class TestDetectJumps:
     def test_matches_analytic_couplings_up_to_n16(self):
         for n in (2, 4, 8, 16):
             s = analytic_spectrum(Multiplet(n))
-            want = [cp.lambda_c for cp in critical_couplings(Multiplet(n))]
+            want = critical_couplings(Multiplet(n)).tolist()
             jumps = detect_jumps(s, (0.0, 1.4))
             assert len(jumps) == len(want)
             for jp, lam_c in zip(jumps, want):
@@ -380,7 +379,7 @@ class TestDetectJumps:
         # the window of --lambda-grid 0:1.2:16 at N = 2100; one walk must
         # resolve all 1050 crossings without recursing once per jump
         m = Multiplet(2100)
-        want = [cp.lambda_c for cp in critical_couplings(m)]
+        want = critical_couplings(m).tolist()
         jumps = detect_jumps(analytic_spectrum(m), (0.0, 1.2))
         assert len(jumps) == len(want) == 1050
         assert all(abs(jp.lam - lam_c) <= 1e-9 for jp, lam_c in zip(jumps, want))
@@ -404,12 +403,13 @@ class TestDetectJumps:
     def test_every_crossing_once_with_exact_plateaus(self, n, e_gap):
         m = Multiplet(n)
         crit = critical_couplings(m, e_gap)
-        jumps = detect_jumps(analytic_spectrum(m, e_gap), (0.0, 1.2 * crit[-1].lambda_c))
+        jumps = detect_jumps(analytic_spectrum(m, e_gap), (0.0, 1.2 * crit[-1]))
         assert len(jumps) == len(crit)
-        for jp, cp in zip(jumps, crit):
-            assert abs(jp.lam - cp.lambda_c) <= 1e-12 * cp.lambda_c
+        for jp, lam_c in zip(jumps, crit.tolist()):
+            assert abs(jp.lam - lam_c) <= 1e-12 * lam_c
         plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
-        want = [crit[0].lower_m**2 - m.j**2] + [cp.upper_m**2 - m.j**2 for cp in crit]
+        # crossing k lifts the ground label from M = -J + k - 1 to M = -J + k
+        want = [(-m.j) ** 2 - m.j**2] + [(-m.j + k) ** 2 - m.j**2 for k in range(1, len(crit) + 1)]
         assert plateaus == want
 
     def test_no_jumps_inside_a_plateau(self):
