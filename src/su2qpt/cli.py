@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
@@ -36,10 +37,6 @@ _EXIT_NUMERIC = 2
 _METHODS = ("analytic", "peaks", "jumps", "ceq", "all")
 _CONFIG_KEYS = frozenset({"n", "e_gap", "beta", "lambda_grid", "lambda", "method", "format", "out"})
 _ZERO_T_COLUMNS = ("lambda", "c_star_lambda_zero_t", "ground_energy", "degeneracy")
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,12 +264,9 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _rows_text(columns, rows, fmt: str) -> str:
-    """Rows as a JSON list of objects, or as CSV under a header line at 17 digits."""
-    if fmt == "json":
-        return _dump_json([dict(zip(columns, row)) for row in rows])
-    lines = [",".join(columns)] + [",".join(map(_g17, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def _json_rows(columns, rows) -> str:
+    """Rows as a JSON list of objects keyed by ``columns`` (CSV: ``transitions.csv_text``)."""
+    return _dump_json([dict(zip(columns, row)) for row in rows])
 
 
 def cmd_spectrum(cfg: dict) -> tuple[str, int]:
@@ -281,9 +275,7 @@ def cmd_spectrum(cfg: dict) -> tuple[str, int]:
     crit = model.critical_couplings(mult, cfg["e_gap"])
     lams = [float(x) for x in cfg.get("lambda", ())]
     # one row per level: m, intercept, slope, then its energy at each coupling
-    table = np.column_stack(
-        [s.m_values, s.intercepts, s.slopes] + [s.energies(x) for x in lams]
-    ).tolist()
+    table = np.column_stack([s.m_values, s.intercepts, s.slopes] + [s.energies(x) for x in lams])
 
     if cfg["format"] == "json":
         payload = {
@@ -292,15 +284,17 @@ def cmd_spectrum(cfg: dict) -> tuple[str, int]:
             "lambda": lams,
             "levels": [
                 {"m": row[0], "intercept": row[1], "slope": row[2], "energies": row[3:]}
-                for row in table
+                for row in table.tolist()
             ],
             "critical_couplings": crit.tolist(),
         }
         return _dump_json(payload), _EXIT_OK
 
-    columns = ["m", "intercept", "slope"] + [f"energy_at_{_g17(x)}" for x in lams]
-    comment = "# critical_couplings," + ",".join(map(_g17, crit.tolist())) + "\n"
-    return _rows_text(columns, table, "csv") + comment, _EXIT_OK
+    # '%.17g' % x is format(x, '.17g'), as in every CSV cell
+    columns = ["m", "intercept", "slope"] + ["energy_at_%.17g" % x for x in lams]
+    cells = ",".join(["%.17g"] * crit.size) % tuple(crit.tolist())
+    comment = "# critical_couplings," + cells + "\n"
+    return transitions.csv_text(columns, table) + comment, _EXIT_OK
 
 
 def cmd_sweep(cfg: dict) -> tuple[str, int]:
@@ -311,7 +305,7 @@ def cmd_sweep(cfg: dict) -> tuple[str, int]:
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     table = transitions.phase_diagram(s, cfg["beta"], cfg["lambda_grid"])
     if cfg["format"] == "json":
-        return _rows_text(table.COLUMNS, table.values.tolist(), "json"), _EXIT_OK
+        return _json_rows(table.COLUMNS, table.values.tolist()), _EXIT_OK
     return table.csv_text(), _EXIT_OK
 
 
@@ -321,8 +315,12 @@ def cmd_zero_t(cfg: dict) -> tuple[str, int]:
     grid = cfg["lambda_grid"]
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     e0, slope, degeneracy = model.ground_level(s, grid)
-    rows = zip(grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist())
-    return _rows_text(_ZERO_T_COLUMNS, rows, cfg["format"]), _EXIT_OK
+    if cfg["format"] == "json":
+        # the degeneracies stay integers
+        rows = zip(grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist())
+        return _json_rows(_ZERO_T_COLUMNS, rows), _EXIT_OK
+    table = np.column_stack([grid, slope, e0, degeneracy])
+    return transitions.csv_text(_ZERO_T_COLUMNS, table), _EXIT_OK
 
 
 def _window(cfg: dict, default_window) -> tuple:
@@ -483,6 +481,12 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             cfg = _make_config(ns)
             text, exit_code = _DISPATCH[cfg["command"]](cfg)
+        if argv is None:
+            # Run as the program, this write is its last act: everything
+            # alive now lives until exit, and once frozen the garbage
+            # collections of the interpreter's shutdown skip it.  A caller
+            # passing argv keeps its collector as it was.
+            gc.freeze()
         # the one write: exit 0 means every byte of it was written
         _emit(text, cfg.get("out"))
         return exit_code

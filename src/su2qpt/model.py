@@ -198,14 +198,18 @@ def _blocks(s: Spectrum, lam: np.ndarray, reach):
     their excitations (``_excitations``) and the block's ground energies.
     Up to N+1 = ``_BLOCK_ELEMENTS`` a block sums every level; past it a
     block is one point, summed over that point's window (``_levels``,
-    with ``reach``), so no block mixes windows.
+    with the reach ``reach(point, e_min)`` of that point's flat index), so
+    no block mixes windows.
     """
     n = s.slopes.size
     rows = max(1, _BLOCK_ELEMENTS // n)
     flat = lam.ravel()
     for start in range(0, flat.size, rows):
         block = flat[start : start + rows]
-        levels = slice(None) if n <= _BLOCK_ELEMENTS else _levels(s, block.item(), reach)
+        if n <= _BLOCK_ELEMENTS:
+            levels = slice(None)
+        else:
+            levels = _levels(s, block.item(), lambda e_min: reach(start, e_min))
         yield (slice(start, start + rows), levels, *_excitations(s, block, levels))
 
 
@@ -221,7 +225,7 @@ def _ties(s: Spectrum, lam: np.ndarray):
     indexes the block and ``level`` the spectrum.  A flat index runs
     point-major, so each point's tied levels form one run in level order.
     """
-    for points, levels, d, e_min in _blocks(s, lam, _degeneracy_tol):
+    for points, levels, d, e_min in _blocks(s, lam, lambda _, e_min: _degeneracy_tol(e_min)):
         start, stop, _ = levels.indices(s.slopes.size)
         tied = np.flatnonzero(d <= _degeneracy_tol(e_min)[..., None])
         del d  # free the block's excitations before the next block is built

@@ -84,8 +84,9 @@ class ThermalObservables:
 _UNDERFLOW = 746.0
 
 
-def _check_beta(beta: float) -> None:
-    if not 0 <= beta < math.inf:
+def _check_beta(beta) -> None:
+    # a scalar or an array of them
+    if not np.all((0 <= beta) & (beta < math.inf)):
         raise ValueError("beta must be non-negative and finite")
 
 
@@ -102,17 +103,21 @@ COLUMNS = (
 )
 
 
-def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
+def _kernel(s: Spectrum, beta: np.ndarray, lam: np.ndarray):
     """The six computed columns of ``COLUMNS``, the occupations and their levels.
 
     The one thermodynamic kernel.  ``lam`` may have any shape and is read
     flat, in the blocks of ``model._blocks``; for each block this yields
-    ``(points, columns, p, levels)``.  The levels sit on a new last axis
-    and every reduction runs along it, one point at a time, so a point
-    gets the same bits whether it comes alone or inside a grid block.
+    ``(points, columns, p, levels)``.  ``beta`` is each point's inverse
+    temperature, of the shape of ``lam`` and read flat with it.  The
+    levels sit on a new last axis and every reduction runs along it, one
+    point at a time, and a block reads its points' beta as a column whose
+    every element goes through the operations a scalar beta would: a
+    point gets the same bits whether it comes alone or inside a block,
+    beside points of any beta.
 
     Past N+1 = 4096, where a block is one point, it sums only that
-    point's window of levels: those with beta*(e - e_min) up to
+    point's window of levels: those with its own beta*(e - e_min) up to
     ``_UNDERFLOW``, whose Boltzmann weight is not an exact zero, widened
     to at least 4096 levels.  The occupations are then those of the
     window's levels, ``levels``.  The levels left out would add exact
@@ -127,15 +132,21 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
     beta*(<E> - e_min) + ln(shifted Z), an algebraically identical form
     that cannot go negative through cancellation.
     """
-    # every weight is positive at beta = 0, so every level is in reach
-    bound = _UNDERFLOW / beta if beta > 0 else math.inf
+    beta = beta.ravel()
+
+    def reach(point: int, e_min) -> float:
+        # every weight is positive at beta = 0, so every level is in reach
+        b = beta.item(point)
+        return _UNDERFLOW / b if b > 0 else math.inf
+
     # Excitations d_i = e_i - e_min and their Boltzmann weights.  The
     # shift keeps every exponent non-positive, so the weights live in
     # (0, 1] and their sum in [1, dim] no matter how large beta gets.
     # Level-sized arrays are updated in place wherever a value is not
     # read again: at large N each fresh temporary costs measurably.
-    for points, levels, d, e_min in model._blocks(s, lam, lambda e_min: bound):
-        w = -beta * d
+    for points, levels, d, e_min in model._blocks(s, lam, reach):
+        b = beta[points]
+        w = -b[:, None] * d
         np.exp(w, out=w)
         w_sum = np.add.reduce(w, axis=-1)
         # ln(shifted Z) = log1p(w_sum - 1), with w_sum - 1 formed as the
@@ -160,29 +171,36 @@ def _kernel(s: Spectrum, beta: float, lam: np.ndarray):
         var = np.vecdot(p, centered)
 
         columns = (
-            -beta * e_min + log_w_sum,  # log_z
+            -b * e_min + log_w_sum,  # log_z
             e_min + delta,  # mean_energy
-            beta * delta + log_w_sum,  # entropy
+            b * delta + log_w_sum,  # entropy
             -var,  # c_star_beta
-            mean_slope - beta * cov,  # c_star_lambda
-            beta * beta * var,  # specific_heat
+            mean_slope - b * cov,  # c_star_lambda
+            b * b * var,  # specific_heat
         )
         yield points, columns, p, levels
         # free the block's level-sized arrays before the next block is built
         del d, centered, w, p, product
 
 
-def observables_grid(s: Spectrum, beta: float, lams) -> np.ndarray:
+def observables_grid(s: Spectrum, beta, lams) -> np.ndarray:
     """The ``COLUMNS`` of every point (beta, lam) for lam in ``lams``.
 
-    Returns a (len(lams), 8) float array, one row per coupling.  Each row
-    equals, bit for bit, the same fields of ``observables(s, beta, lam)``:
-    both evaluate one kernel, here on blocks of couplings.
+    ``beta`` is one inverse temperature for every point, or one per
+    coupling: an array the length of ``lams``.  Returns a (len(lams), 8)
+    float array, one row per coupling, whose ``beta`` column holds each
+    point's beta.  Each row equals, bit for bit, the same fields of
+    ``observables(s, b, lam)`` at its own beta b: both evaluate one
+    kernel, here on blocks of points.
     """
+    beta = np.asarray(beta, dtype=float)
     _check_beta(beta)
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1:
         raise ValueError("lams must be one-dimensional")
+    if beta.ndim and beta.shape != lams.shape:
+        raise ValueError("beta must be a scalar or one value per coupling")
+    beta = np.broadcast_to(beta, lams.shape)
     out = np.empty((lams.size, len(COLUMNS)))
     out[:, 0] = beta
     out[:, 1] = lams
@@ -201,7 +219,9 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     The one-point case of the kernel behind ``observables_grid``.
     """
     _check_beta(beta)
-    [(_, columns, p_levels, levels)] = _kernel(s, beta, np.asarray(lam, dtype=float))
+    [(_, columns, p_levels, levels)] = _kernel(
+        s, np.asarray(beta, dtype=float), np.asarray(lam, dtype=float)
+    )
     p = np.zeros(s.slopes.size)
     p[levels] = p_levels[0]
     p.setflags(write=False)

@@ -27,6 +27,7 @@ __all__ = [
     "CeqSearchResult",
     "SweepTable",
     "CSV_HEADER",
+    "csv_text",
     "MIN_SCHEDULE",
     "find_peaks",
     "nearest_crossing",
@@ -152,65 +153,82 @@ def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, f(grid)
 
 
-def _interior_maxima(y: np.ndarray) -> np.ndarray:
-    """Indices of the strict interior local maxima of y."""
-    return np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1
+def _interior_maxima(y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices of the strict interior local maxima along y's last axis, as np.nonzero gives them."""
+    *rows, k = np.nonzero((y[..., 1:-1] > y[..., :-2]) & (y[..., 1:-1] > y[..., 2:]))
+    return (*rows, k + 1)
 
 
-def find_peaks(
-    s: Spectrum, beta: float, lambda_range, grid_points: int = 512
-) -> list[PeakEstimate]:
-    """Local maxima of |d<E>/d(beta)| on a coupling window, refined.
+def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> list[PeakEstimate]:
+    """Local maxima of |d<E>/d(beta)| on a coupling window, refined, at each beta.
 
-    Scans the magnitude (equal to the energy variance) on a uniform
-    grid, keeps the strict interior local maxima, and polishes them all
+    ``beta`` is one inverse temperature or a schedule of them.  At every
+    beta the magnitude (equal to the energy variance) is scanned on one
+    uniform grid, and the strict interior local maxima are kept; maxima
+    below ``_PEAK_FLOOR`` times that beta's largest sample are float
+    noise and are skipped.  All of them, of every beta, are polished
     together by golden-section search, one bracket of two grid cells per
     maximum, to a coupling resolution of 1e-8.  The width is the full
     width at half maximum, found by bisecting the half-height crossings
     on both flanks of every peak together (clamped at the window edge if
-    a flank never drops that far).  Maxima below ``_PEAK_FLOOR`` times
-    the largest sample are float noise and are skipped.  The scan and
-    each refinement step are one ``thermo.observables_grid`` call.
+    a flank never drops that far).  The scan of the whole schedule and
+    each refinement step are one ``thermo.observables_grid`` call, and a
+    peak gets the same bits as from a schedule of its beta alone.
 
-    Returns an empty list when no interior maximum exists, e.g. when
-    beta is too small and the remnant structure is washed out.
+    Returns the peaks ordered by beta as given, then by coupling: none
+    for a beta at which no interior maximum exists, e.g. one too small
+    for the remnant structure to survive.
     """
-    if not beta > 0:
+    betas = np.array(beta, dtype=float, ndmin=1)
+    if betas.ndim != 1 or not np.all(betas > 0):
         raise ValueError("beta must be positive")
 
-    def var_on(grid: np.ndarray) -> np.ndarray:
-        return -thermo.observables_grid(s, beta, grid)[:, _C_STAR_BETA]
+    def var_on(b: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        return -thermo.observables_grid(s, b, lams)[:, _C_STAR_BETA]
 
-    grid, y = _scan(var_on, lambda_range, grid_points)
-    maxima = _interior_maxima(y)
-    top = maxima[y[maxima] > _PEAK_FLOOR * y.max()]
+    def scan(grid: np.ndarray) -> np.ndarray:
+        # one row of samples per beta
+        return var_on(np.repeat(betas, grid.size), np.tile(grid, betas.size)).reshape(-1, grid.size)
+
+    grid, y = _scan(scan, lambda_range, grid_points)
+    which, top = _interior_maxima(y)
+    keep = y[which, top] > _PEAK_FLOOR * y.max(axis=1)[which]
+    which, top = which[keep], top[keep]
     if not top.size:
         return []
-    lam_star = _golden_min(lambda x: -var_on(x), grid[top - 1], grid[top + 1], xtol=1e-8)
-    height = var_on(lam_star)
-    width = _fwhm(var_on, grid, y, top, lam_star, height)
-    rows = zip(lam_star.tolist(), height.tolist(), width.tolist())
-    peaks = [PeakEstimate(lam, h, w, beta) for lam, h, w in rows]
+    b = betas[which]
+    lam_star = _golden_min(lambda x: -var_on(b, x), grid[top - 1], grid[top + 1], xtol=1e-8)
+    height = var_on(b, lam_star)
+    flanks = np.tile(b, 2)
+    width = _fwhm(lambda x: var_on(flanks, x), grid, y[which], top, lam_star, height)
+    rows = zip(which.tolist(), b.tolist(), lam_star.tolist(), height.tolist(), width.tolist())
 
     # a flat-topped maximum sampled twice refines to the same point; keep one.
-    # The peaks are in order already: each refines inside its two grid cells,
-    # and strict maxima are two samples apart, so their brackets share at most an end.
+    # The peaks of each beta are in order already: each refines inside its two
+    # grid cells, and strict maxima are two samples apart, so their brackets
+    # share at most an end.
     deduped: list[PeakEstimate] = []
-    for pk in peaks:
-        if deduped and abs(pk.lambda_at_peak - deduped[-1].lambda_at_peak) < 2e-8:
-            if pk.height > deduped[-1].height:
-                deduped[-1] = pk
+    last = None  # the schedule index of deduped[-1]
+    for i, b_i, lam, h, w in rows:
+        if i == last and abs(lam - deduped[-1].lambda_at_peak) < 2e-8:
+            if h > deduped[-1].height:
+                deduped[-1] = PeakEstimate(lam, h, w, b_i)
         else:
-            deduped.append(pk)
+            deduped.append(PeakEstimate(lam, h, w, b_i))
+        last = i
     return deduped
 
 
-def _fwhm(var_on, grid, y, top, lam_star, height) -> np.ndarray:
-    """Full widths at half maximum of the peaks at samples top, refined to lam_star."""
+def _fwhm(var_on, grid, ys, top, lam_star, height) -> np.ndarray:
+    """Full widths at half maximum of the peaks at samples top, refined to lam_star.
+
+    ``ys`` holds each peak's row of samples on ``grid``; ``var_on`` takes
+    the left flanks' points, then the right flanks'.
+    """
     half = 0.5 * height
     ends = []  # (inside, outside) per flank, left flanks first
     for step in (-1, +1):
-        for k, lam, h in zip(top, lam_star, half):
+        for k, y, lam, h in zip(top, ys, lam_star, half):
             if y[k] < h:
                 # a peak narrower than the grid has its top sample below half
                 # height already: bisect from the refined top to the first
@@ -275,19 +293,18 @@ def track_peaks_to_zero_t(
     if not np.size(crossings):
         raise ValueError("no crossings to track; the model needs at least 2 particles")
 
+    # the whole schedule in one lockstep search
+    peaks = find_peaks(s, schedule, lambda_range, grid_points)
+    near, offsets, gaps = nearest_crossing(crossings, [pk.lambda_at_peak for pk in peaks])
     tracked: list[TrackedPeak] = []
     warnings: list[str] = []
-    for beta in schedule:
-        peaks = find_peaks(s, beta, lambda_range, grid_points)
-        near, offsets, gaps = nearest_crossing(crossings, [pk.lambda_at_peak for pk in peaks])
-        rows = zip(peaks, near.tolist(), offsets.tolist(), gaps.tolist())
-        for pk, nearest, offset, gap in rows:
-            tracked.append(TrackedPeak(beta, pk, nearest, offset))
-            if offset > 0.25 * gap:
-                warnings.append(
-                    f"beta={beta:g}: peak at lambda={pk.lambda_at_peak:.6f} is not "
-                    f"resolved (offset {offset:.4f} from nearest crossing {nearest:.6f})"
-                )
+    for pk, nearest, offset, gap in zip(peaks, near.tolist(), offsets.tolist(), gaps.tolist()):
+        tracked.append(TrackedPeak(pk.beta, pk, nearest, offset))
+        if offset > 0.25 * gap:
+            warnings.append(
+                f"beta={pk.beta:g}: peak at lambda={pk.lambda_at_peak:.6f} is not "
+                f"resolved (offset {offset:.4f} from nearest crossing {nearest:.6f})"
+            )
     return TrackingResult(peaks=tuple(tracked), warnings=tuple(warnings))
 
 
@@ -370,7 +387,7 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
         return CeqSearchResult(xi=xi, converged=converged, residual=float(f(xi)))
 
     grid, vals = _scan(f, (lo, hi), grid_points)
-    maxima = _interior_maxima(vals)
+    (maxima,) = _interior_maxima(vals)
     if len(maxima) >= 2:
         left_hump, right_hump = sorted(sorted(maxima, key=lambda i: vals[i])[-2:])
         a, b = float(grid[left_hump]), float(grid[right_hump])
@@ -384,6 +401,17 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
 
 
 CSV_HEADER = ",".join(thermo.COLUMNS)
+
+
+def csv_text(columns, values) -> str:
+    """CSV of a 2-D array: a header line of ``columns``, then one line per row at 17 digits.
+
+    '%.17g' % x is format(x, '.17g'), so each cell reads back as the float
+    it came from; the whole table is one % operation.
+    """
+    values = np.asarray(values, dtype=float)
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + row_fmt * len(values) % tuple(values.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,16 +433,15 @@ class SweepTable:
         object.__setattr__(self, "values", values)
 
     def csv_text(self) -> str:
-        # '%.17g' % x is format(x, '.17g'); the whole table is one % operation
-        row_fmt = ",".join(["%.17g"] * len(self.COLUMNS)) + "\n"
-        rows = row_fmt * len(self.values) % tuple(self.values.ravel().tolist())
-        return CSV_HEADER + "\n" + rows
+        return csv_text(self.COLUMNS, self.values)
 
 
 def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:
-    """Thermal observables at every (beta, lam) grid point."""
-    betas = list(beta_grid)
+    """Thermal observables at every (beta, lam) grid point, in one engine pass."""
+    betas = np.array(list(beta_grid), dtype=float)
     lams = np.asarray(lambda_grid, dtype=float)
-    if not betas or not lams.size:
+    if not betas.size or not lams.size:
         raise ValueError("grids must be non-empty")
-    return SweepTable(np.concatenate([thermo.observables_grid(s, b, lams) for b in betas]))
+    # rows outer beta, inner lam
+    values = thermo.observables_grid(s, np.repeat(betas, lams.size), np.tile(lams, betas.size))
+    return SweepTable(values)

@@ -198,20 +198,21 @@ def check_remnant_peaks():
             offsets_ok = False
     ok_assign = assigned == set(crit) and offsets_ok
 
-    def dominant(beta: float, grid: int) -> transitions.PeakEstimate:
-        cands = transitions.find_peaks(s4, beta, (0.9, 1.1), grid)
-        return max(cands, key=lambda p: p.height)
+    def dominant(betas, grid: int) -> list[transitions.PeakEstimate]:
+        # the highest peak at each beta, all found in one schedule
+        cands = transitions.find_peaks(s4, betas, (0.9, 1.1), grid)
+        return [max((p for p in cands if p.beta == b), key=lambda p: p.height) for b in betas]
 
-    triples = []
-    for beta in (70.0, 90.0, 110.0):
-        pk = dominant(beta, 512)
-        triples.append((abs(pk.lambda_at_peak - 1.0), pk.height, pk.width))
+    triples = [
+        (abs(pk.lambda_at_peak - 1.0), pk.height, pk.width)
+        for pk in dominant((70.0, 90.0, 110.0), 512)
+    ]
     ok_nested = all(
         a[i] > b[i] for a, b in zip(triples, triples[1:]) for i in range(3)
     )
 
     betas = (100.0, 200.0, 400.0, 800.0)
-    offs = [abs(dominant(b, 1024).lambda_at_peak - 1.0) for b in betas]
+    offs = [abs(pk.lambda_at_peak - 1.0) for pk in dominant(betas, 1024)]
     slope = float(np.polyfit(np.log(betas), np.log(offs), 1)[0])
     ok_slope = -1.1 <= slope <= -0.9
 

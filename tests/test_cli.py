@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -104,6 +105,24 @@ def _child_env() -> dict:
     paths = [str(REPO / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join(paths)
     return env
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(capsys):
+    # only a run as the program freezes what is alive before its write
+    before = gc.get_freeze_count()
+    assert cli.main(["critical", "--n", "8"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_program_run_writes_the_in_process_bytes(capsys):
+    rc = cli.main(["critical", "--n", "8"])
+    want = capsys.readouterr().out.encode()
+    proc = subprocess.run(
+        [sys.executable, "-m", "su2qpt.cli", "critical", "--n", "8"],
+        capture_output=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, b"")
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -5,9 +5,14 @@ stderr, with its config file, if any, written to ``run.json`` in the
 working directory.  The cases cover ``spectrum`` and ``zero-t`` in both
 formats (``zero-t`` also past 4096 levels, where the sums are windowed),
 the exact ``critical`` routes (jumps and analytic), and every error path
-of the flags and the config file.  Thermal columns are left out: a
+of the flags and the config file.  Sweep columns are left out: a
 vectorised exp can round differently from libm's on some CPUs, so their
-last bits depend on the host.
+last bits depend on the host.  Four ``critical`` cases run the tracked
+peak route all the same, because nothing else pins its bytes end to end:
+its refinement must reach the same bits however its points are batched.
+They were generated on an x86-64 host with numpy 2.4; a host whose exp
+rounds differently fails them alone, and regenerates them from a
+commit known to be good.
 """
 
 import json

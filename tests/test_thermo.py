@@ -303,6 +303,33 @@ def test_grid_rows_equal_scalar_observables_at_large_n():
         _assert_rows_equal_scalar(s, beta, lams)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=4, unique=True).map(
+        sorted
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+# windowed spectra, where each point sums the window of its own beta's
+# reach, with beta = 0 (every level in reach) in the schedule
+@example(4095, 1.0, [0.0, 110.0, 1e4], 0)
+@example(4096, 0.37, [0.0, 1e-3, 110.0], 1)
+def test_grid_with_a_beta_per_point_equals_one_call_per_beta(n, e_gap, schedule, seed):
+    mult = Multiplet(n)
+    s = analytic_spectrum(mult, e_gap)
+    rng = np.random.default_rng(seed)
+    lams = np.sort(rng.uniform(-0.1, 2.0, 12) * e_gap)
+    crossings = critical_couplings(mult, e_gap)[:4]
+    lams[: crossings.size] = crossings
+    want = np.concatenate([observables_grid(s, beta, lams) for beta in schedule])
+    # shuffled, so that the points of every beta share blocks
+    order = rng.permutation(len(want))
+    got = observables_grid(s, want[order, 0], want[order, 1])
+    assert np.array_equal(got, want[order])
+
+
 def test_grid_columns_and_validation():
     grid = observables_grid(S4, 70.0, [0.1, 0.2, 0.3])
     assert grid.shape == (3, 8)
@@ -313,6 +340,10 @@ def test_grid_columns_and_validation():
         observables_grid(S4, -1.0, [0.1])
     with pytest.raises(ValueError):
         observables_grid(S4, 1.0, [[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        observables_grid(S4, [1.0, 2.0], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError):
+        observables_grid(S4, [1.0, np.nan], [0.1, 0.2])
 
 
 def _mp_entropy(s, beta, lam):

@@ -138,7 +138,41 @@ class TestFindPeaks:
         got = [(p.lambda_at_peak, p.height, p.width) for p in find_peaks(s, beta, window, points)]
         assert got == _one_search_per_peak(s, beta, window, points)
 
+    @given(
+        st.integers(2, 64),
+        st.floats(0.1, 10.0),
+        st.lists(st.floats(1.0, 1e3), min_size=1, max_size=4, unique=True).map(sorted),
+        st.integers(16, 256),
+    )
+    @settings(max_examples=25)
+    @example(8, 1.0, [0.01, 70.0, 110.0], 512)  # at beta = 0.01 the variance has no maximum
+    @example(4095, 1.0, [70.0, 110.0], 16)  # N+1 = 4096: the last spectrum summed whole
+    @example(4096, 1.0, [70.0, 110.0], 16)  # windowed, each point by its own beta's reach
+    def test_a_schedule_finds_each_beta_s_peaks(self, n, e_gap, schedule, points):
+        # one lockstep search over the schedule, the same bits as one search per beta
+        crit = critical_couplings(Multiplet(n), e_gap)
+        window = (0.8 * crit[0], 1.2 * crit[-1])
+        s = analytic_spectrum(Multiplet(n), e_gap)
+        got = find_peaks(s, schedule, window, points)
+        assert got == [pk for beta in schedule for pk in find_peaks(s, beta, window, points)]
+
+    def test_a_beta_without_peaks_leaves_the_others(self):
+        peaks = find_peaks(S4, [0.01, 110.0], (0.02, 1.4), 1000)
+        assert find_peaks(S4, 0.01, (0.02, 1.4), 1000) == []
+        assert peaks == find_peaks(S4, 110.0, (0.02, 1.4), 1000)
+        assert len(peaks) == 4
+
+    def test_peaks_of_neighbouring_betas_are_kept_apart(self):
+        # betas one ulp apart put their one peak in the window (the lower
+        # flank of lambda_c = 1) within the dedupe distance; the dedupe is per beta
+        schedule = [110.0, math.nextafter(110.0, math.inf)]
+        peaks = find_peaks(S4, schedule, (0.9, 1.0), 512)
+        assert [p.beta for p in peaks] == schedule
+        assert abs(peaks[0].lambda_at_peak - peaks[1].lambda_at_peak) < 2e-8
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            find_peaks(S4, [70.0, 0.0], (0.0, 1.0))
         with pytest.raises(ValueError):
             find_peaks(S4, 0.0, (0.0, 1.0))
         with pytest.raises(ValueError):
@@ -257,9 +291,12 @@ class TestTrackPeaks:
     @example([1.0], [0.2, 1.0, 7.0])  # one crossing: no gap, so no warning
     @example([0.0, 5e-301, 0.5], [1.0])  # rounding ties crossings that are not neighbours
     def test_each_peak_takes_its_nearest_crossing(self, crit, lams):
-        peaks = [PeakEstimate(lam, 1.0, 0.1, 70.0) for lam in lams]
+        def peaks(s, schedule, *args):
+            # one call for the whole schedule: the same peaks at every beta
+            return [PeakEstimate(lam, 1.0, 0.1, beta) for beta in schedule for lam in lams]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transitions, "find_peaks", lambda *args: peaks)
+            mp.setattr(transitions, "find_peaks", peaks)
             res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.0, 1.4), crossings=crit)
         want, warned = [], 0
         for lam in lams:

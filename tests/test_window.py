@@ -95,7 +95,7 @@ def test_blocks_share_points_only_over_every_level(n_levels, rows):
     # every level, and past N+1 = FLOOR every block is one point in a window
     s = analytic_spectrum(Multiplet(n_levels - 1))
     lams = np.linspace(0.0, 1.2, 7)
-    blocks = list(model._blocks(s, lams, lambda e_min: thermo._UNDERFLOW / 110.0))
+    blocks = list(model._blocks(s, lams, lambda point, e_min: thermo._UNDERFLOW / 110.0))
     assert [b[0] for b in blocks] == [slice(i, i + rows) for i in range(0, lams.size, rows)]
     for points, levels, d, e_min in blocks:
         if n_levels <= FLOOR:
