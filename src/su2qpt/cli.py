@@ -37,6 +37,11 @@ _EXIT_NUMERIC = 2
 _METHODS = ("analytic", "peaks", "jumps", "ceq", "all")
 _CONFIG_KEYS = frozenset({"n", "e_gap", "beta", "lambda_grid", "lambda", "method", "format", "out"})
 _ZERO_T_COLUMNS = ("lambda", "c_star_lambda_zero_t", "ground_energy", "degeneracy")
+_BETA = transitions.TRACKED_COLUMNS.index("beta")
+_OFFSET = transitions.TRACKED_COLUMNS.index("offset")
+_LAMBDA = transitions.JUMP_COLUMNS.index("lambda")
+_LEFT_VALUE = transitions.JUMP_COLUMNS.index("left_value")
+_RIGHT_VALUE = transitions.JUMP_COLUMNS.index("right_value")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,9 +269,9 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _json_rows(columns, rows) -> str:
-    """Rows as a JSON list of objects keyed by ``columns`` (CSV: ``transitions.csv_text``)."""
-    return _dump_json([dict(zip(columns, row)) for row in rows])
+def _records(columns, rows) -> list[dict]:
+    """Rows as dicts keyed by ``columns``: a table's JSON form (CSV: ``transitions.csv_text``)."""
+    return [dict(zip(columns, row)) for row in rows]
 
 
 def cmd_spectrum(cfg: dict) -> tuple[str, int]:
@@ -305,7 +310,7 @@ def cmd_sweep(cfg: dict) -> tuple[str, int]:
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     table = transitions.phase_diagram(s, cfg["beta"], cfg["lambda_grid"])
     if cfg["format"] == "json":
-        return _json_rows(table.COLUMNS, table.values.tolist()), _EXIT_OK
+        return _dump_json(_records(table.COLUMNS, table.values.tolist())), _EXIT_OK
     return table.csv_text(), _EXIT_OK
 
 
@@ -318,7 +323,7 @@ def cmd_zero_t(cfg: dict) -> tuple[str, int]:
     if cfg["format"] == "json":
         # the degeneracies stay integers
         rows = zip(grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist())
-        return _json_rows(_ZERO_T_COLUMNS, rows), _EXIT_OK
+        return _dump_json(_records(_ZERO_T_COLUMNS, rows)), _EXIT_OK
     table = np.column_stack([grid, slope, e0, degeneracy])
     return transitions.csv_text(_ZERO_T_COLUMNS, table), _EXIT_OK
 
@@ -338,50 +343,29 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
     # the default window brackets every crossing with a 20% margin
     window = _window(cfg, (0.8 * crit[0].item(), 1.2 * crit[-1].item()))
     schedule = [float(b) for b in cfg.get("beta", (70.0, 90.0, 110.0))]
-    result = transitions.track_peaks_to_zero_t(
+    tracked, warnings = transitions.track_peaks_to_zero_t(
         s, schedule, window, _grid_points(cfg, 1024), crossings=crit
     )
-    beta_max = max(schedule)
-    final_offsets = [t.offset for t in result.peaks if t.beta == beta_max]
+    final_offsets = tracked[tracked[:, _BETA] == max(schedule), _OFFSET]
     return {
         "beta_schedule": schedule,
         "window": list(window),
-        "tracked": [
-            {
-                "beta": t.beta,
-                "lambda_at_peak": t.peak.lambda_at_peak,
-                "height": t.peak.height,
-                "width": t.peak.width,
-                "nearest_critical": t.nearest_critical,
-                "offset": t.offset,
-            }
-            for t in result.peaks
-        ],
-        "warnings": list(result.warnings),
-        "max_offset_at_beta_max": max(final_offsets) if final_offsets else None,
+        "tracked": _records(transitions.TRACKED_COLUMNS, tracked.tolist()),
+        "warnings": list(warnings),
+        "max_offset_at_beta_max": final_offsets.max().item() if final_offsets.size else None,
     }
 
 
 def _jumps_block(cfg: dict, s, crit) -> dict:
     window = _window(cfg, (0.0, 1.2 * crit[-1].item()))
     jumps = transitions.detect_jumps(s, window)
-    plateaus = []
-    if jumps:
-        plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
-    _, distances, _ = transitions.nearest_crossing(crit, [j.lam for j in jumps])
+    _, distances, _ = transitions.nearest_crossing(crit, jumps[:, _LAMBDA])
     return {
         "window": list(window),
-        "jumps": [
-            {
-                "lambda": j.lam,
-                "left_value": j.left_value,
-                "right_value": j.right_value,
-                "midpoint_value": j.midpoint_value,
-            }
-            for j in jumps
-        ],
-        "plateaus": plateaus,
-        "max_distance_to_analytic": float(distances.max()) if distances.size else None,
+        "jumps": _records(transitions.JUMP_COLUMNS, jumps.tolist()),
+        # the staircase at the window's left end, then right of every jump
+        "plateaus": jumps[:1, _LEFT_VALUE].tolist() + jumps[:, _RIGHT_VALUE].tolist(),
+        "max_distance_to_analytic": distances.max().item() if distances.size else None,
     }
 
 

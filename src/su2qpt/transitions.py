@@ -20,10 +20,9 @@ from . import model, thermo
 from .model import Spectrum
 
 __all__ = [
-    "PeakEstimate",
-    "TrackedPeak",
-    "TrackingResult",
-    "JumpPoint",
+    "PEAK_COLUMNS",
+    "TRACKED_COLUMNS",
+    "JUMP_COLUMNS",
     "CeqSearchResult",
     "SweepTable",
     "CSV_HEADER",
@@ -50,41 +49,23 @@ _PEAK_FLOOR = 1e-12
 # The observables_grid column of d<E>/d(beta), minus the energy variance.
 _C_STAR_BETA = thermo.COLUMNS.index("c_star_beta")
 
+# The columns of the route tables: ``find_peaks`` gives a row of
+# PEAK_COLUMNS per peak (the width is the full width at half maximum, in
+# coupling units), ``track_peaks_to_zero_t`` adds the peak's nearest
+# crossing and its distance from it, and ``detect_jumps`` gives a row of
+# JUMP_COLUMNS per vertex of the zero-temperature slope staircase.
+PEAK_COLUMNS = ("beta", "lambda_at_peak", "height", "width")
+TRACKED_COLUMNS = PEAK_COLUMNS + ("nearest_critical", "offset")
+JUMP_COLUMNS = ("lambda", "left_value", "right_value", "midpoint_value")
 
-@dataclass(frozen=True)
-class PeakEstimate:
-    """One refined local maximum of |d<E>/d(beta)| along the coupling axis."""
-
-    lambda_at_peak: float
-    height: float
-    width: float  # full width at half maximum, coupling units
-    beta: float
-
-
-@dataclass(frozen=True)
-class TrackedPeak:
-    """A peak estimate assigned to its nearest analytic crossing."""
-
-    beta: float
-    peak: PeakEstimate
-    nearest_critical: float
-    offset: float
+_LAMBDA_AT_PEAK = PEAK_COLUMNS.index("lambda_at_peak")
 
 
-@dataclass(frozen=True)
-class TrackingResult:
-    peaks: tuple[TrackedPeak, ...]
-    warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class JumpPoint:
-    """A discontinuity of the zero-temperature slope staircase."""
-
-    lam: float
-    left_value: float
-    right_value: float
-    midpoint_value: float
+def _table(*columns) -> np.ndarray:
+    """The given columns side by side, as one read-only float64 array of their rows."""
+    values = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -138,6 +119,16 @@ def _bisect(inside, a, b, xtol: float) -> tuple[np.ndarray, np.ndarray]:
         a, b = np.where(live & is_in, mid, a), np.where(live & ~is_in, mid, b)
 
 
+def _interval(window) -> tuple[float, float]:
+    """A route's coupling window (lo, hi) as floats, checked: lo < hi, both finite."""
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError("interval must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("interval ends must be finite")
+    return lo, hi
+
+
 def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """A uniform grid of grid_points over window = (lo, hi), and f(grid).
 
@@ -146,10 +137,7 @@ def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(*_interval(window), grid_points)
     return grid, f(grid)
 
 
@@ -159,7 +147,7 @@ def _interior_maxima(y: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*rows, k + 1)
 
 
-def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> list[PeakEstimate]:
+def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> np.ndarray:
     """Local maxima of |d<E>/d(beta)| on a coupling window, refined, at each beta.
 
     ``beta`` is one inverse temperature or a schedule of them.  At every
@@ -175,9 +163,10 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> list[
     each refinement step are one ``thermo.observables_grid`` call, and a
     peak gets the same bits as from a schedule of its beta alone.
 
-    Returns the peaks ordered by beta as given, then by coupling: none
-    for a beta at which no interior maximum exists, e.g. one too small
-    for the remnant structure to survive.
+    Returns a read-only (peaks, 4) table of ``PEAK_COLUMNS``, ordered by
+    beta as given, then by coupling: no row for a beta at which no
+    interior maximum exists, e.g. one too small for the remnant structure
+    to survive.
     """
     betas = np.array(beta, dtype=float, ndmin=1)
     if betas.ndim != 1 or not np.all(betas > 0):
@@ -195,28 +184,28 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> list[
     keep = y[which, top] > _PEAK_FLOOR * y.max(axis=1)[which]
     which, top = which[keep], top[keep]
     if not top.size:
-        return []
+        return _table(*np.empty((len(PEAK_COLUMNS), 0)))
     b = betas[which]
     lam_star = _golden_min(lambda x: -var_on(b, x), grid[top - 1], grid[top + 1], xtol=1e-8)
     height = var_on(b, lam_star)
     flanks = np.tile(b, 2)
     width = _fwhm(lambda x: var_on(flanks, x), grid, y[which], top, lam_star, height)
-    rows = zip(which.tolist(), b.tolist(), lam_star.tolist(), height.tolist(), width.tolist())
 
     # a flat-topped maximum sampled twice refines to the same point; keep one.
     # The peaks of each beta are in order already: each refines inside its two
     # grid cells, and strict maxima are two samples apart, so their brackets
-    # share at most an end.
-    deduped: list[PeakEstimate] = []
-    last = None  # the schedule index of deduped[-1]
-    for i, b_i, lam, h, w in rows:
-        if i == last and abs(lam - deduped[-1].lambda_at_peak) < 2e-8:
-            if h > deduped[-1].height:
-                deduped[-1] = PeakEstimate(lam, h, w, b_i)
+    # share at most an end.  Each is compared with the last one kept, so a
+    # chain of such maxima keeps its highest.
+    ws, lams, hs = which.tolist(), lam_star.tolist(), height.tolist()
+    kept = [0]  # the indexes of the peaks kept
+    for r in range(1, len(ws)):
+        k = kept[-1]
+        if ws[r] == ws[k] and abs(lams[r] - lams[k]) < 2e-8:
+            if hs[r] > hs[k]:
+                kept[-1] = r
         else:
-            deduped.append(PeakEstimate(lam, h, w, b_i))
-        last = i
-    return deduped
+            kept.append(r)
+    return _table(b[kept], lam_star[kept], height[kept], width[kept])
 
 
 def _fwhm(var_on, grid, ys, top, lam_star, height) -> np.ndarray:
@@ -273,7 +262,7 @@ def track_peaks_to_zero_t(
     grid_points: int = 512,
     *,
     crossings,
-) -> TrackingResult:
+) -> tuple[np.ndarray, tuple[str, ...]]:
     """Follow remnant peaks along an increasing beta schedule.
 
     Each refined peak is assigned to the nearest of ``crossings``, the
@@ -284,6 +273,9 @@ def track_peaks_to_zero_t(
     the distance to the next one) means neighbouring remnants have merged
     at that temperature; such peaks are still reported, with an explicit
     warning, rather than silently reassigned.
+
+    Returns a read-only (peaks, 6) table of ``TRACKED_COLUMNS``, its rows
+    those of ``find_peaks``, and the warnings.
     """
     schedule = [float(b) for b in beta_schedule]
     if len(schedule) < MIN_SCHEDULE:
@@ -295,20 +287,17 @@ def track_peaks_to_zero_t(
 
     # the whole schedule in one lockstep search
     peaks = find_peaks(s, schedule, lambda_range, grid_points)
-    near, offsets, gaps = nearest_crossing(crossings, [pk.lambda_at_peak for pk in peaks])
-    tracked: list[TrackedPeak] = []
-    warnings: list[str] = []
-    for pk, nearest, offset, gap in zip(peaks, near.tolist(), offsets.tolist(), gaps.tolist()):
-        tracked.append(TrackedPeak(pk.beta, pk, nearest, offset))
-        if offset > 0.25 * gap:
-            warnings.append(
-                f"beta={pk.beta:g}: peak at lambda={pk.lambda_at_peak:.6f} is not "
-                f"resolved (offset {offset:.4f} from nearest crossing {nearest:.6f})"
-            )
-    return TrackingResult(peaks=tuple(tracked), warnings=tuple(warnings))
+    near, offsets, gaps = nearest_crossing(crossings, peaks[:, _LAMBDA_AT_PEAK])
+    tracked = _table(*peaks.T, near, offsets)
+    warnings = tuple(
+        f"beta={b:g}: peak at lambda={lam:.6f} is not resolved "
+        f"(offset {offset:.4f} from nearest crossing {nearest:.6f})"
+        for b, lam, _height, _width, nearest, offset in tracked[offsets > 0.25 * gaps].tolist()
+    )
+    return tracked, warnings
 
 
-def detect_jumps(s: Spectrum, lambda_range) -> list[JumpPoint]:
+def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:
     """Discontinuities of the zero-temperature slope staircase on [lo, hi).
 
     Every level is a line in the coupling, so the ground energy is their
@@ -317,14 +306,12 @@ def detect_jumps(s: Spectrum, lambda_range) -> list[JumpPoint]:
     the nearest exact crossing with a steeper level while that crossing
     lies below hi, and at a vertex to the steepest of the levels crossing
     there, so a crossing of several levels is one jump.  Every vertex is
-    reported, with no threshold on its plateau gap.  The first jump's left
-    value is the staircase at lo: the on-point mean if lo is a crossing.
+    reported, with no threshold on its plateau gap: one row of
+    ``JUMP_COLUMNS`` each, in a read-only (jumps, 4) table.  The first
+    jump's left value is the staircase at lo: the on-point mean if lo is
+    a crossing.
     """
-    lo, hi = float(lambda_range[0]), float(lambda_range[1])
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("interval ends must be finite")
+    lo, hi = _interval(lambda_range)
     # the levels tied for ground at lo, as ``model.ground_level`` finds them
     [(_, _, _, tied)] = model._ties(s, np.asarray(lo))
     k = tied[np.argmax(s.slopes[tied])]
@@ -339,12 +326,12 @@ def detect_jumps(s: Spectrum, lambda_range) -> list[JumpPoint]:
         at = steeper[vertices == lam]
         k = at[np.argmin(s.slopes[at])]
         lams.append(lam)
-        rights.append(float(s.slopes[k]))
+        rights.append(s.slopes[k])
 
     # the staircase at lo, then the on-point value at every vertex
-    values = thermo.zero_t_c_star_lambda(s, np.array([lo, *lams])).tolist()
-    lefts = values[:1] + rights[:-1]
-    return [JumpPoint(*v) for v in zip(lams, lefts, rights, values[1:])]
+    values = thermo.zero_t_c_star_lambda(s, np.array([lo, *lams]))
+    plateaus = np.array([values[0], *rights])
+    return _table(lams, plateaus[:-1], plateaus[1:], values[1:])
 
 
 def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257) -> CeqSearchResult:
@@ -367,9 +354,8 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    # an unordered interval is left to _scan, which rejects it
-    if lo < hi and not lo < 1.0 < hi:
+    lo, hi = _interval(search_interval)
+    if not lo < 1.0 < hi:
         raise ValueError("search interval must contain the crossing coupling 1 strictly")
 
     def residual(x: float) -> float:

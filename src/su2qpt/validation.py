@@ -171,15 +171,16 @@ def check_zero_t_staircase():
         jumps = transitions.detect_jumps(s, (0.0, 1.4))
         if len(jumps) != len(lams_c):
             return False, f"{len(jumps)} jumps found at N={n}, {len(lams_c)} expected"
-        for k, jp in enumerate(jumps):
-            errs = (
-                abs(jp.lam - lams_c[k]),
-                abs(jp.left_value - plateaus[k]),
-                abs(jp.right_value - plateaus[k + 1]),
-                abs(jp.midpoint_value - midpoints[k]),
-            )
-            worst = max(worst, *errs)
+        # the expected rows, in the order of transitions.JUMP_COLUMNS
+        want = np.column_stack([lams_c, plateaus[:-1], plateaus[1:], midpoints])
+        worst = max(worst, np.abs(jumps - want).max().item())
     return worst <= tol, f"max deviation {worst:.2e} (tol {tol:g})"
+
+
+_BETA = transitions.PEAK_COLUMNS.index("beta")
+_LAMBDA_AT_PEAK = transitions.PEAK_COLUMNS.index("lambda_at_peak")
+_HEIGHT = transitions.PEAK_COLUMNS.index("height")
+_WIDTH = transitions.PEAK_COLUMNS.index("width")
 
 
 @_check("remnant peak tracking", budget=10.0)
@@ -188,31 +189,30 @@ def check_remnant_peaks():
     s4 = model.analytic_spectrum(Multiplet(4))
     crit = [1 / 3, 1.0]
 
-    peaks = transitions.find_peaks(s4, 110.0, (0.02, 1.4), 1000)
+    lams = transitions.find_peaks(s4, 110.0, (0.02, 1.4), 1000)[:, _LAMBDA_AT_PEAK].tolist()
     assigned = set()
-    offsets_ok = bool(peaks)
-    for pk in peaks:
-        nearest = min(crit, key=lambda c: abs(pk.lambda_at_peak - c))
+    offsets_ok = bool(lams)
+    for lam in lams:
+        nearest = min(crit, key=lambda c: abs(lam - c))
         assigned.add(nearest)
-        if abs(pk.lambda_at_peak - nearest) >= 0.05:
+        if abs(lam - nearest) >= 0.05:
             offsets_ok = False
     ok_assign = assigned == set(crit) and offsets_ok
 
-    def dominant(betas, grid: int) -> list[transitions.PeakEstimate]:
+    def dominant(betas, grid: int) -> np.ndarray:
         # the highest peak at each beta, all found in one schedule
         cands = transitions.find_peaks(s4, betas, (0.9, 1.1), grid)
-        return [max((p for p in cands if p.beta == b), key=lambda p: p.height) for b in betas]
+        at = [cands[cands[:, _BETA] == b] for b in betas]
+        return np.array([rows[np.argmax(rows[:, _HEIGHT])] for rows in at])
 
-    triples = [
-        (abs(pk.lambda_at_peak - 1.0), pk.height, pk.width)
-        for pk in dominant((70.0, 90.0, 110.0), 512)
-    ]
-    ok_nested = all(
-        a[i] > b[i] for a, b in zip(triples, triples[1:]) for i in range(3)
+    peaks = dominant((70.0, 90.0, 110.0), 512)
+    triples = np.column_stack(
+        [abs(peaks[:, _LAMBDA_AT_PEAK] - 1.0), peaks[:, _HEIGHT], peaks[:, _WIDTH]]
     )
+    ok_nested = bool(np.all(triples[:-1] > triples[1:]))
 
     betas = (100.0, 200.0, 400.0, 800.0)
-    offs = [abs(pk.lambda_at_peak - 1.0) for pk in dominant(betas, 1024)]
+    offs = abs(dominant(betas, 1024)[:, _LAMBDA_AT_PEAK] - 1.0)
     slope = float(np.polyfit(np.log(betas), np.log(offs), 1)[0])
     ok_slope = -1.1 <= slope <= -0.9
 

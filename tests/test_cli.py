@@ -17,6 +17,7 @@ from su2qpt import cli, validation
 from su2qpt.model import analytic_spectrum
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
+from su2qpt.transitions import JUMP_COLUMNS, TRACKED_COLUMNS
 
 
 def run(argv, capsys):
@@ -509,6 +510,20 @@ class TestCritical:
         assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
         assert doc["jumps"]["plateaus"] == [0.0, -7.0, -12.0, -15.0, -16.0]
         assert "ceq" not in doc
+
+    def test_route_entries_are_keyed_by_the_table_columns(self, capsys):
+        rc, out, _ = run(["critical", "--n", "8"], capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        tracked, jumps = doc["peaks"]["tracked"], doc["jumps"]["jumps"]
+        assert len(tracked) == 24 and len(jumps) == 4
+        assert all(list(entry) == list(TRACKED_COLUMNS) for entry in tracked)
+        assert all(list(entry) == list(JUMP_COLUMNS) for entry in jumps)
+        # the summaries are read off those columns
+        final = [e["offset"] for e in tracked if e["beta"] == doc["peaks"]["beta_schedule"][-1]]
+        assert doc["peaks"]["max_offset_at_beta_max"] == max(final)
+        plateaus = [jumps[0]["left_value"]] + [j["right_value"] for j in jumps]
+        assert doc["jumps"]["plateaus"] == plateaus
 
     def test_jumps_only_n4(self, capsys):
         rc, out, _ = run(["critical", "--n", "4", "--method", "jumps"], capsys)

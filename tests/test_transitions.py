@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +13,9 @@ from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
     CSV_HEADER,
-    PeakEstimate,
+    JUMP_COLUMNS,
+    PEAK_COLUMNS,
+    TRACKED_COLUMNS,
     SweepTable,
     _bisect,
     _golden_min,
@@ -34,12 +35,24 @@ CRIT4 = critical_couplings(Multiplet(4))
 # is 2u/(beta*|slope gap|)
 TWO_U_STAR = 2.3993572805154716
 
+# the columns of the route tables
+BETA = PEAK_COLUMNS.index("beta")
+LAM = PEAK_COLUMNS.index("lambda_at_peak")
+HEIGHT = PEAK_COLUMNS.index("height")
+WIDTH = PEAK_COLUMNS.index("width")
+NEAREST = TRACKED_COLUMNS.index("nearest_critical")
+OFFSET = TRACKED_COLUMNS.index("offset")
+JUMP = JUMP_COLUMNS.index("lambda")
+LEFT = JUMP_COLUMNS.index("left_value")
+RIGHT = JUMP_COLUMNS.index("right_value")
+MID = JUMP_COLUMNS.index("midpoint_value")
+
 
 class TestFindPeaks:
     def test_four_flanks_at_beta_110(self):
         peaks = find_peaks(S4, 110.0, (0.02, 1.4), 1000)
         assert len(peaks) == 4
-        lams = [p.lambda_at_peak for p in peaks]
+        lams = peaks[:, LAM].tolist()
         assert lams == sorted(lams)
         # flank pairs sit symmetrically around each crossing
         assert abs((lams[0] + lams[1]) / 2.0 - 1 / 3) <= 1e-6
@@ -48,20 +61,20 @@ class TestFindPeaks:
         for lam, (lam_c, s_gap) in zip(lams, [(1 / 3, 3.0), (1 / 3, 3.0), (1.0, 1.0), (1.0, 1.0)]):
             assert abs(abs(lam - lam_c) - TWO_U_STAR / (110.0 * s_gap)) <= 1e-6
         for p in peaks:
-            assert p.height > 0.0
-            assert p.width > 0.0
-            assert p.beta == 110.0
+            assert p[HEIGHT] > 0.0
+            assert p[WIDTH] > 0.0
+            assert p[BETA] == 110.0
 
     def test_flank_pair_heights_agree(self):
         peaks = find_peaks(S4, 110.0, (0.9, 1.1), 512)
         assert len(peaks) == 2
         a, b = peaks
-        assert math.isclose(a.height, b.height, rel_tol=1e-6)
-        assert math.isclose(a.width, b.width, rel_tol=1e-6)
+        assert math.isclose(a[HEIGHT], b[HEIGHT], rel_tol=1e-6)
+        assert math.isclose(a[WIDTH], b[WIDTH], rel_tol=1e-6)
 
     def test_no_peaks_on_a_flat_stretch(self):
         # between the crossings the variance is U-shaped, no interior max
-        assert find_peaks(S4, 110.0, (0.4, 0.6), 128) == []
+        assert find_peaks(S4, 110.0, (0.4, 0.6), 128).shape == (0, len(PEAK_COLUMNS))
 
     @pytest.mark.parametrize("window, side", [((0.97, 1.1), "left"), ((0.9, 1.03), "right")])
     def test_window_edge_clamps_a_cut_flank(self, window, side):
@@ -69,7 +82,7 @@ class TestFindPeaks:
         # runs from that window edge to the bisected crossing on the other
         # flank
         def half_crossing(peak, outside):
-            inside, half = peak.lambda_at_peak, 0.5 * peak.height
+            inside, half = peak[LAM], 0.5 * peak[HEIGHT]
             for _ in range(60):
                 mid = 0.5 * (inside + outside)
                 if observables(S4, 110.0, mid).energy_variance >= half:
@@ -80,12 +93,12 @@ class TestFindPeaks:
 
         peaks = find_peaks(S4, 110.0, window, 512)
         if side == "left":
-            (pk,) = [p for p in peaks if p.lambda_at_peak < 1.0]
+            (pk,) = peaks[peaks[:, LAM] < 1.0]
             want = half_crossing(pk, 1.0) - window[0]
         else:
-            (pk,) = [p for p in peaks if p.lambda_at_peak > 1.0]
+            (pk,) = peaks[peaks[:, LAM] > 1.0]
             want = window[1] - half_crossing(pk, 1.0)
-        assert abs(pk.width - want) <= 1e-9
+        assert abs(pk[WIDTH] - want) <= 1e-9
 
     def test_peak_narrower_than_the_grid(self):
         # on 64 points the remnant flank near 1/4 of N = 5 is narrower than
@@ -95,10 +108,10 @@ class TestFindPeaks:
         coarse = find_peaks(s5, 90.0, (0.1, 1.3), 64)[0]
         fine = min(
             find_peaks(s5, 90.0, (0.1, 0.4), 4096),
-            key=lambda p: abs(p.lambda_at_peak - coarse.lambda_at_peak),
+            key=lambda p: abs(p[LAM] - coarse[LAM]),
         )
-        assert abs(coarse.lambda_at_peak - fine.lambda_at_peak) <= 1e-7
-        assert math.isclose(coarse.width, fine.width, rel_tol=1e-7)
+        assert abs(coarse[LAM] - fine[LAM]) <= 1e-7
+        assert math.isclose(coarse[WIDTH], fine[WIDTH], rel_tol=1e-7)
 
     def test_float_noise_on_a_flat_tail_is_no_peak(self):
         # past the last crossing of N = 5 the variance is ~1e-31 and its
@@ -106,8 +119,8 @@ class TestFindPeaks:
         # flanks (heights ~9e-5) are peaks
         peaks = find_peaks(analytic_spectrum(Multiplet(5)), 70.0, (0.1, 1.3), 4096)
         assert len(peaks) == 4
-        assert all(p.height > 1e-5 for p in peaks)
-        lams = [p.lambda_at_peak for p in peaks]
+        assert all(p[HEIGHT] > 1e-5 for p in peaks)
+        lams = peaks[:, LAM].tolist()
         assert abs((lams[0] + lams[1]) / 2.0 - 0.25) <= 1e-6
         assert abs((lams[2] + lams[3]) / 2.0 - 0.5) <= 1e-6
 
@@ -135,8 +148,8 @@ class TestFindPeaks:
         span = 1.2 * crit[-1]
         window = (cut - span, cut) if data.draw(st.booleans()) else (cut, cut + span)
         s = analytic_spectrum(Multiplet(n), e_gap)
-        got = [(p.lambda_at_peak, p.height, p.width) for p in find_peaks(s, beta, window, points)]
-        assert got == _one_search_per_peak(s, beta, window, points)
+        got = find_peaks(s, beta, window, points)[:, [LAM, HEIGHT, WIDTH]].tolist()
+        assert got == [list(pk) for pk in _one_search_per_peak(s, beta, window, points)]
 
     @given(
         st.integers(2, 64),
@@ -154,12 +167,13 @@ class TestFindPeaks:
         window = (0.8 * crit[0], 1.2 * crit[-1])
         s = analytic_spectrum(Multiplet(n), e_gap)
         got = find_peaks(s, schedule, window, points)
-        assert got == [pk for beta in schedule for pk in find_peaks(s, beta, window, points)]
+        want = np.vstack([find_peaks(s, beta, window, points) for beta in schedule])
+        assert got.tolist() == want.tolist()
 
     def test_a_beta_without_peaks_leaves_the_others(self):
         peaks = find_peaks(S4, [0.01, 110.0], (0.02, 1.4), 1000)
-        assert find_peaks(S4, 0.01, (0.02, 1.4), 1000) == []
-        assert peaks == find_peaks(S4, 110.0, (0.02, 1.4), 1000)
+        assert find_peaks(S4, 0.01, (0.02, 1.4), 1000).shape == (0, len(PEAK_COLUMNS))
+        assert peaks.tolist() == find_peaks(S4, 110.0, (0.02, 1.4), 1000).tolist()
         assert len(peaks) == 4
 
     def test_peaks_of_neighbouring_betas_are_kept_apart(self):
@@ -167,8 +181,20 @@ class TestFindPeaks:
         # flank of lambda_c = 1) within the dedupe distance; the dedupe is per beta
         schedule = [110.0, math.nextafter(110.0, math.inf)]
         peaks = find_peaks(S4, schedule, (0.9, 1.0), 512)
-        assert [p.beta for p in peaks] == schedule
-        assert abs(peaks[0].lambda_at_peak - peaks[1].lambda_at_peak) < 2e-8
+        assert peaks[:, BETA].tolist() == schedule
+        assert abs(peaks[0, LAM] - peaks[1, LAM]) < 2e-8
+
+    def test_coincident_maxima_keep_the_highest(self):
+        # on a window of 2e-9 around a remnant flank of N = 4 float noise makes
+        # 53 strict maxima that all refine to within the dedupe distance; each
+        # is compared with the last one kept, so the chain is one peak, not one
+        # per pair of neighbours
+        lam = 0.3260625533296134
+        window = (lam - 1e-9, lam + 1e-9)
+        peaks = find_peaks(S4, 110.0, window, 512)
+        assert len(peaks) == 1
+        got = peaks[:, [LAM, HEIGHT, WIDTH]].tolist()
+        assert got == [list(pk) for pk in _one_search_per_peak(S4, 110.0, window, 512)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -179,6 +205,10 @@ class TestFindPeaks:
             find_peaks(S4, 10.0, (1.0, 1.0))
         with pytest.raises(ValueError):
             find_peaks(S4, 10.0, (0.0, 1.0), grid_points=8)
+        # a window holding every crossing, but with no end to scan to
+        for window in [(0.0, math.inf), (-math.inf, 1.4)]:
+            with pytest.raises(ValueError, match="interval ends must be finite"):
+                find_peaks(S4, 110.0, window, 64)
 
 
 # The refinement layer as it ran before it was batched, one bracket at a
@@ -260,28 +290,30 @@ def _one_search_per_peak(s, beta, window, grid_points):
 
 class TestTrackPeaks:
     def test_resolved_tracking_has_no_warnings(self):
-        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, crossings=CRIT4)
-        assert res.warnings == ()
-        assert {t.nearest_critical for t in res.peaks} == {1 / 3, 1.0}
-        assert all(t.offset < 0.05 for t in res.peaks)
+        tracked, warnings = track_peaks_to_zero_t(
+            S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, crossings=CRIT4
+        )
+        assert warnings == ()
+        assert set(tracked[:, NEAREST].tolist()) == {1 / 3, 1.0}
+        assert all(tracked[:, OFFSET] < 0.05)
 
     def test_offsets_shrink_with_beta(self):
-        res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512, crossings=CRIT4)
-        worst = {b: max(t.offset for t in res.peaks if t.beta == b) for b in (70.0, 90.0, 110.0)}
+        tracked, _ = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512, crossings=CRIT4)
+        worst = {b: tracked[tracked[:, BETA] == b, OFFSET].max() for b in (70.0, 90.0, 110.0)}
         assert worst[70.0] > worst[90.0] > worst[110.0]
 
     def test_merged_remnants_are_flagged(self):
         # at beta ~ 10 the two crossings share one broad basin
-        res = track_peaks_to_zero_t(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512, crossings=CRIT4)
-        assert len(res.warnings) > 0
-        assert "not" in res.warnings[0] and "resolved" in res.warnings[0]
+        _, warnings = track_peaks_to_zero_t(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512, crossings=CRIT4)
+        assert len(warnings) > 0
+        assert "not" in warnings[0] and "resolved" in warnings[0]
 
     def test_inferred_gap_for_scaled_model(self):
         s = analytic_spectrum(Multiplet(4), e_gap=2.0)
         crit = critical_couplings(Multiplet(4), e_gap=2.0)
-        res = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, crossings=crit)
-        assert res.peaks
-        assert {t.nearest_critical for t in res.peaks} == {2 / 3, 2.0}
+        tracked, _ = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, crossings=crit)
+        assert len(tracked)
+        assert set(tracked[:, NEAREST].tolist()) == {2 / 3, 2.0}
 
     @given(
         st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=6, unique=True),
@@ -293,11 +325,14 @@ class TestTrackPeaks:
     def test_each_peak_takes_its_nearest_crossing(self, crit, lams):
         def peaks(s, schedule, *args):
             # one call for the whole schedule: the same peaks at every beta
-            return [PeakEstimate(lam, 1.0, 0.1, beta) for beta in schedule for lam in lams]
+            rows = [(beta, lam, 1.0, 0.1) for beta in schedule for lam in lams]
+            return np.array(rows, dtype=float).reshape(-1, len(PEAK_COLUMNS))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transitions, "find_peaks", peaks)
-            res = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.0, 1.4), crossings=crit)
+            tracked, warnings = track_peaks_to_zero_t(
+                S4, (70.0, 90.0, 110.0), (0.0, 1.4), crossings=crit
+            )
         want, warned = [], 0
         for lam in lams:
             # the rule as two scans over every crossing, ascending
@@ -305,9 +340,9 @@ class TestTrackPeaks:
             want.append((nearest, abs(lam - nearest)))
             gap = min((abs(nearest - c) for c in crit if c != nearest), default=math.inf)
             warned += abs(lam - nearest) > 0.25 * gap
-        assert [(t.nearest_critical, t.offset) for t in res.peaks] == want * 3
-        assert all(type(t.nearest_critical) is float for t in res.peaks)
-        assert len(res.warnings) == 3 * warned
+        assert [tuple(row) for row in tracked[:, [NEAREST, OFFSET]].tolist()] == want * 3
+        assert tracked.dtype == np.float64
+        assert len(warnings) == 3 * warned
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -350,12 +385,12 @@ class TestDetectJumps:
     def test_n4_staircase(self):
         jumps = detect_jumps(S4, (0.0, 1.4))
         assert len(jumps) == 2
-        assert abs(jumps[0].lam - 1 / 3) <= 1e-9
-        assert abs(jumps[1].lam - 1.0) <= 1e-9
-        assert (jumps[0].left_value, jumps[0].right_value) == (0.0, -3.0)
-        assert (jumps[1].left_value, jumps[1].right_value) == (-3.0, -4.0)
-        assert jumps[0].midpoint_value == -1.5
-        assert jumps[1].midpoint_value == -3.5
+        assert abs(jumps[0, JUMP] - 1 / 3) <= 1e-9
+        assert abs(jumps[1, JUMP] - 1.0) <= 1e-9
+        assert (jumps[0, LEFT], jumps[0, RIGHT]) == (0.0, -3.0)
+        assert (jumps[1, LEFT], jumps[1, RIGHT]) == (-3.0, -4.0)
+        assert jumps[0, MID] == -1.5
+        assert jumps[1, MID] == -3.5
 
     def test_n8_staircase(self):
         jumps = detect_jumps(S8, (0.0, 1.4))
@@ -363,9 +398,9 @@ class TestDetectJumps:
         want_plateaus = [0.0, -7.0, -12.0, -15.0, -16.0]
         assert len(jumps) == 4
         for jp, lam_c in zip(jumps, want_lams):
-            assert abs(jp.lam - lam_c) <= 1e-9
-        assert [jumps[0].left_value] + [j.right_value for j in jumps] == want_plateaus
-        assert [j.midpoint_value for j in jumps] == [-3.5, -9.5, -13.5, -15.5]
+            assert abs(jp[JUMP] - lam_c) <= 1e-9
+        assert [jumps[0, LEFT]] + jumps[:, RIGHT].tolist() == want_plateaus
+        assert jumps[:, MID].tolist() == [-3.5, -9.5, -13.5, -15.5]
 
     def test_matches_analytic_couplings_up_to_n16(self):
         for n in (2, 4, 8, 16):
@@ -374,16 +409,16 @@ class TestDetectJumps:
             jumps = detect_jumps(s, (0.0, 1.4))
             assert len(jumps) == len(want)
             for jp, lam_c in zip(jumps, want):
-                assert abs(jp.lam - lam_c) <= 1e-9
+                assert abs(jp[JUMP] - lam_c) <= 1e-9
                 # exactly two levels cross, so the on-point value is the mean
-                assert abs(jp.midpoint_value - (jp.left_value + jp.right_value) / 2.0) <= 1e-9
+                assert abs(jp[MID] - (jp[LEFT] + jp[RIGHT]) / 2.0) <= 1e-9
 
     def test_n2_single_jump(self):
         jumps = detect_jumps(S2, (0.0, 2.0))
         assert len(jumps) == 1
-        assert abs(jumps[0].lam - 1.0) <= 1e-9
-        assert (jumps[0].left_value, jumps[0].right_value) == (0.0, -1.0)
-        assert jumps[0].midpoint_value == -0.5
+        assert abs(jumps[0, JUMP] - 1.0) <= 1e-9
+        assert (jumps[0, LEFT], jumps[0, RIGHT]) == (0.0, -1.0)
+        assert jumps[0, MID] == -0.5
 
     def test_grid_point_exactly_on_crossing(self):
         # the window of --lambda-grid 0.25:1.25:17, whose dyadic grid holds
@@ -391,26 +426,26 @@ class TestDetectJumps:
         grid = np.linspace(0.25, 1.25, 17)
         assert 1.0 in grid
         jumps = detect_jumps(S4, (0.25, 1.25))
-        assert [round(j.lam, 9) for j in jumps] == [round(1 / 3, 9), 1.0]
-        assert [(j.left_value, j.right_value) for j in jumps] == [(0.0, -3.0), (-3.0, -4.0)]
+        assert [round(lam, 9) for lam in jumps[:, JUMP].tolist()] == [round(1 / 3, 9), 1.0]
+        assert jumps[:, [LEFT, RIGHT]].tolist() == [[0.0, -3.0], [-3.0, -4.0]]
 
     def test_window_ends_exactly_on_crossing(self):
         jumps = detect_jumps(S4, (0.0, 1.0))
         assert len(jumps) == 1
-        assert abs(jumps[0].lam - 1 / 3) <= 1e-9
+        assert abs(jumps[0, JUMP] - 1 / 3) <= 1e-9
 
     def test_window_is_half_open(self):
         # a crossing exactly at the right end lies outside [lo, hi)
-        assert detect_jumps(S4, (0.0, 1 / 3)) == []
+        assert detect_jumps(S4, (0.0, 1 / 3)).shape == (0, len(JUMP_COLUMNS))
 
     def test_window_starts_exactly_on_crossing(self):
         # the left plateau lies outside the window, so the visible left
         # value is the on-crossing midpoint
         jumps = detect_jumps(S4, (1 / 3, 1.25))
         assert len(jumps) == 2
-        assert abs(jumps[0].lam - 1 / 3) <= 1e-9
-        assert jumps[0].left_value == -1.5
-        assert jumps[0].right_value == -3.0
+        assert abs(jumps[0, JUMP] - 1 / 3) <= 1e-9
+        assert jumps[0, LEFT] == -1.5
+        assert jumps[0, RIGHT] == -3.0
 
     def test_many_jumps_in_one_coarse_cell(self):
         # the window of --lambda-grid 0:1.2:16 at N = 2100; one walk must
@@ -419,22 +454,22 @@ class TestDetectJumps:
         want = critical_couplings(m).tolist()
         jumps = detect_jumps(analytic_spectrum(m), (0.0, 1.2))
         assert len(jumps) == len(want) == 1050
-        assert all(abs(jp.lam - lam_c) <= 1e-9 for jp, lam_c in zip(jumps, want))
+        assert all(abs(jp[JUMP] - lam_c) <= 1e-9 for jp, lam_c in zip(jumps, want))
 
     def test_triple_crossing_is_one_jump(self):
         # three levels meet at lam = 1; the walk steps straight to the steepest
         s = Spectrum([0, 1, 2], [0, 1, 2], [0, -1, -2])
         jumps = detect_jumps(s, (0.0, 2.0))
-        assert [astuple(j) for j in jumps] == [(1.0, 0.0, -2.0, -1.0)]
+        assert jumps.tolist() == [[1.0, 0.0, -2.0, -1.0]]
 
     def test_descending_levels_window_starts_on_crossing(self):
         # at the window's left end the walk starts on the shallower of the
         # two tied levels, whatever the level order
         s = Spectrum(S8.m_values[::-1], S8.intercepts[::-1], S8.slopes[::-1])
         jumps = detect_jumps(s, (1 / 3, 1.4))
-        assert [(j.left_value, j.right_value) for j in jumps] == [(-13.5, -15.0), (-15.0, -16.0)]
-        assert abs(jumps[0].lam - 1 / 3) <= 1e-15
-        assert jumps[1].lam == 1.0
+        assert jumps[:, [LEFT, RIGHT]].tolist() == [[-13.5, -15.0], [-15.0, -16.0]]
+        assert abs(jumps[0, JUMP] - 1 / 3) <= 1e-15
+        assert jumps[1, JUMP] == 1.0
 
     @given(st.integers(2, 400), st.floats(0.1, 10.0))
     def test_every_crossing_once_with_exact_plateaus(self, n, e_gap):
@@ -443,14 +478,14 @@ class TestDetectJumps:
         jumps = detect_jumps(analytic_spectrum(m, e_gap), (0.0, 1.2 * crit[-1]))
         assert len(jumps) == len(crit)
         for jp, lam_c in zip(jumps, crit.tolist()):
-            assert abs(jp.lam - lam_c) <= 1e-12 * lam_c
-        plateaus = [jumps[0].left_value] + [j.right_value for j in jumps]
+            assert abs(jp[JUMP] - lam_c) <= 1e-12 * lam_c
+        plateaus = [jumps[0, LEFT]] + jumps[:, RIGHT].tolist()
         # crossing k lifts the ground label from M = -J + k - 1 to M = -J + k
         want = [(-m.j) ** 2 - m.j**2] + [(-m.j + k) ** 2 - m.j**2 for k in range(1, len(crit) + 1)]
         assert plateaus == want
 
     def test_no_jumps_inside_a_plateau(self):
-        assert detect_jumps(S4, (0.4, 0.9)) == []
+        assert detect_jumps(S4, (0.4, 0.9)).shape == (0, len(JUMP_COLUMNS))
 
     def test_validation(self):
         for window in [(1.0, 0.0), (0.5, 0.5), (0.0, math.inf), (-math.inf, 1.0),
@@ -474,8 +509,48 @@ class TestDetectJumps:
         intercepts, slopes = ([k / 4 for k in col] for col in zip(*levels))
         lo, hi = lo64 / 64, (lo64 + width64) / 64
         s = Spectrum(list(range(len(levels))), intercepts, slopes)
-        got = [astuple(j) for j in detect_jumps(s, (lo, hi))]
+        got = [tuple(j) for j in detect_jumps(s, (lo, hi)).tolist()]
         assert got == _envelope_vertices(intercepts, slopes, lo, hi)
+
+
+class TestRouteTables:
+    @pytest.mark.parametrize(
+        "route, columns, rows",
+        [
+            (lambda: find_peaks(S4, [70.0, 110.0], (0.02, 1.4), 512), PEAK_COLUMNS, 8),
+            (lambda: find_peaks(S4, 0.01, (0.02, 1.4), 512), PEAK_COLUMNS, 0),
+            (
+                lambda: track_peaks_to_zero_t(
+                    S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, crossings=CRIT4
+                )[0],
+                TRACKED_COLUMNS,
+                12,
+            ),
+            (
+                lambda: track_peaks_to_zero_t(
+                    S4, (0.01, 0.02, 0.03), (0.02, 1.4), 512, crossings=CRIT4
+                )[0],
+                TRACKED_COLUMNS,
+                0,
+            ),
+            (lambda: detect_jumps(S8, (0.0, 1.4)), JUMP_COLUMNS, 4),
+            (lambda: detect_jumps(S4, (0.4, 0.9)), JUMP_COLUMNS, 0),
+        ],
+        ids=["peaks", "no-peaks", "tracked", "none-tracked", "jumps", "no-jumps"],
+    )
+    def test_a_read_only_float_table_of_its_columns(self, route, columns, rows):
+        table = route()
+        assert type(table) is np.ndarray and table.dtype == np.float64
+        assert table.shape == (rows, len(columns))
+        with pytest.raises(ValueError):
+            table[...] = 0.0
+
+    def test_tracked_rows_extend_the_peak_rows(self):
+        schedule = (70.0, 90.0, 110.0)
+        tracked, _ = track_peaks_to_zero_t(S4, schedule, (0.02, 1.4), 512, crossings=CRIT4)
+        peaks = find_peaks(S4, schedule, (0.02, 1.4), 512)
+        assert TRACKED_COLUMNS[: len(PEAK_COLUMNS)] == PEAK_COLUMNS
+        assert tracked[:, : len(PEAK_COLUMNS)].tolist() == peaks.tolist()
 
 
 class TestRefinementTermination:
@@ -556,6 +631,8 @@ class TestCeqSearch:
             qpt_from_ceq(200.0, (0.5, 1.5), grid_points=8)
         with pytest.raises(ValueError):
             qpt_from_ceq(0.0, (0.5, 1.5))
+        with pytest.raises(ValueError, match="interval ends must be finite"):
+            qpt_from_ceq(200.0, (0.5, math.inf))
 
 
 class TestPhaseDiagram:
