@@ -295,10 +295,8 @@ def cmd_spectrum(cfg: dict) -> tuple[str, int]:
         }
         return _dump_json(payload), _EXIT_OK
 
-    # '%.17g' % x is format(x, '.17g'), as in every CSV cell
-    columns = ["m", "intercept", "slope"] + ["energy_at_%.17g" % x for x in lams]
-    cells = ",".join(["%.17g"] * crit.size) % tuple(crit.tolist())
-    comment = "# critical_couplings," + cells + "\n"
+    columns = ["m", "intercept", "slope"] + ["energy_at_" + c for c in transitions.csv_cells(lams)]
+    comment = ",".join(["# critical_couplings", *transitions.csv_cells(crit)]) + "\n"
     return transitions.csv_text(columns, table) + comment, _EXIT_OK
 
 

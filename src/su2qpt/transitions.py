@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import model, thermo
+from . import _cells, model, thermo
 from .model import Spectrum
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "CeqSearchResult",
     "SweepTable",
     "CSV_HEADER",
+    "csv_cells",
     "csv_text",
     "MIN_SCHEDULE",
     "find_peaks",
@@ -388,16 +389,21 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
 
 CSV_HEADER = ",".join(thermo.COLUMNS)
 
+def csv_cells(values) -> list[str]:
+    """Each value of an array as its CSV cell, format(x, '.17g'), in flat order."""
+    flat = np.asarray(values, dtype=float).ravel()
+    return "".join(_cells.csv_lines(flat[None, :]))[:-1].split(",") if flat.size else []
+
 
 def csv_text(columns, values) -> str:
     """CSV of a 2-D array: a header line of ``columns``, then one line per row at 17 digits.
 
-    '%.17g' % x is format(x, '.17g'), so each cell reads back as the float
-    it came from; the whole table is one % operation.
+    Each cell is format(x, '.17g'), so it reads back as the float it came from.
     """
     values = np.asarray(values, dtype=float)
-    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ",".join(columns) + "\n" + row_fmt * len(values) % tuple(values.ravel().tolist())
+    if values.ndim != 2 or values.shape[1] != len(columns):
+        raise ValueError(f"values must have shape (rows, {len(columns)})")
+    return "".join([",".join(columns) + "\n", *_cells.csv_lines(values)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -704,3 +704,82 @@ class TestPhaseDiagram:
                 )
             )
             assert rebuilt == line
+
+
+def _misformatted(values) -> list:
+    """The first few (x, its cell, format(x, '.17g')) that differ; a short failure report."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    cells = transitions.csv_cells(values)
+    assert len(cells) == len(values)
+    return [(x, c, format(x, ".17g")) for x, c in zip(values, cells) if c != format(x, ".17g")][:5]
+
+
+class TestCsvCells:
+    # the kernel's cells against format(x, '.17g'), which '%.17g' % x equals
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(math.nan)
+    @example(-math.inf)
+    # the ends of the float range, which the exponent tables span
+    @example(5e-324)
+    @example(1e-323)
+    @example(2.225073858507201e-308)  # the largest subnormal
+    @example(2.2250738585072014e-308)  # the least normal float
+    @example(1.7976931348623155e308)
+    @example(-1.7976931348623157e308)
+    # where exponent notation gives way to fixed, and fixed to exponent
+    @example(9.999999999999999e-06)
+    @example(1e-05)
+    @example(1.0000000000000003e-05)
+    @example(9.999999999999999e-05)
+    @example(0.0001)
+    @example(0.00010000000000000002)
+    @example(9999999999999998.0)
+    @example(1e16)
+    @example(1.0000000000000002e16)
+    @example(9.999999999999998e16)
+    @example(1e17)
+    @example(1.0000000000000002e17)
+    @example(1e-14)  # its 17 digits round up to the next power of ten
+    @example(1e-280)  # 9.9999999999999996e-281: E is that of the unrounded value
+    @example(2.0**53)
+    @example(2.0**57)
+    @example(1 + 2**-17)  # a tie at the 17th digit, so '%.17g' itself formats it
+    @example(1.0000090481717197)  # 2**-36 past a tie, inside the tie margin
+    @example(-123456789012345678.0)
+    def test_a_cell_is_format_17g(self, x):
+        assert transitions.csv_cells([x]) == [format(x, ".17g")]
+
+    def test_every_power_of_two_and_ten_is_format_17g(self):
+        powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+        powers += [float(f"1e{k}") for k in range(-323, 309)]
+        powers = np.concatenate([powers, np.negative(powers)])
+        neighbours = [np.nextafter(powers, -math.inf), powers, np.nextafter(powers, math.inf)]
+        assert _misformatted(neighbours) == []
+
+    def test_a_table_is_its_rows_rendered_one_by_one(self):
+        # 3000 rows of 7 span several of the kernel's passes, and a pass
+        # can end inside a row
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 2**64, size=(3000, 7), dtype=np.uint64).view(float)
+        values[::5] = rng.normal(size=(600, 7))
+        columns = [f"c{j}" for j in range(7)]
+        lines = transitions.csv_text(columns, values).split("\n")
+        rows = [transitions.csv_text(columns, row[None, :]).split("\n")[1] for row in values]
+        assert len(lines) == len(rows) + 2
+        assert lines[0] == ",".join(columns) and lines[-1] == ""
+        assert [(i, a, b) for i, (a, b) in enumerate(zip(lines[1:], rows)) if a != b][:3] == []
+
+    @pytest.mark.parametrize(
+        "columns, shape",
+        [(["a", "b"], (2, 2, 1)), (["a"], (0, 3)), (["a"], (2, 2)), (["a", "b"], (4,)), ([], (1, 1))],
+    )
+    def test_rejects_values_not_of_one_column_per_name(self, columns, shape):
+        with pytest.raises(ValueError):
+            transitions.csv_text(columns, np.zeros(shape))
+
+    def test_tables_without_rows_or_columns(self):
+        assert transitions.csv_text(["a", "b", "c"], np.zeros((0, 3))) == "a,b,c\n"
+        assert transitions.csv_text([], np.zeros((2, 0))) == "\n\n\n"
+        assert transitions.csv_cells([]) == []
