@@ -33,12 +33,6 @@ def _ratio(k: int, b: int) -> tuple[int, int]:
     return 10 ** max(k, 0) << max(b, 0), 10 ** max(-k, 0) << max(-b, 0)
 
 
-def _ten_le_two(k: int, b: int) -> bool:
-    """Whether 10**k <= 2**b."""
-    num, den = _ratio(k, -b)
-    return num <= den
-
-
 def _scale(ex: int) -> tuple[int, float, list]:
     """The exact constants for the floats m * 2**ex, m in [0.5, 1).
 
@@ -47,11 +41,8 @@ def _scale(ex: int) -> tuple[int, float, list]:
     Row j holds (ch, chh, chl, cl) for C = 2**ex * 10**(16 - e_low - j): ch and
     cl are correctly rounded (as int / int is), and chh + chl splits ch.
     """
-    e_low = math.floor((ex - 1) * math.log10(2.0))  # off by at most one
-    while not _ten_le_two(e_low, ex - 1):
-        e_low -= 1
-    while _ten_le_two(e_low + 1, ex - 1):
-        e_low += 1
+    # the digit count of 2**(ex - 1), less one; for ex < 1, minus that of 2**(1 - ex) - 1
+    e_low = len(str(2 ** (ex - 1))) - 1 if ex >= 1 else -len(str(2 ** (1 - ex) - 1))
     num, den = _ratio(e_low + 1, -ex)
     thr = 1.0  # where 10**(e_low + 1) >= 2**ex, which no m reaches
     if num < den:

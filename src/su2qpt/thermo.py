@@ -299,16 +299,21 @@ def ceq_scaled_residual(xi: float, beta: float) -> float:
 
     a sum of non-negative terms: the variance never truly vanishes at
     finite beta.  Multiplying by e^(-2b*max(1, xi)) makes every exponent
-    non-positive, so each term can be evaluated directly with no
-    overflow.  For large beta the scaled residual dips toward zero
-    precisely at xi = 1, which is how the crossing coupling is located
-    from finite-temperature data alone.
+    non-positive, so no exponential overflows; only (xi +- 1)^2 can, past
+    xi ~ 1.3e154, and that raises an OverflowError naming xi.  For large
+    beta the scaled residual dips toward zero precisely at xi = 1, which
+    is how the crossing coupling is located from finite-temperature data
+    alone.
     """
     _check_beta(beta)
     if not xi >= 0:
         raise ValueError("xi must be non-negative")
     m = max(1.0, xi)
+    try:
+        sq_up, sq_down = (xi - 1.0) ** 2, (xi + 1.0) ** 2
+    except OverflowError:
+        raise OverflowError(f"the scaled residual overflows at xi = {xi!r}") from None
     t_const = 4.0 * math.exp(-2.0 * beta * m)
-    t_up = (xi - 1.0) ** 2 * math.exp(beta * (1.0 + xi - 2.0 * m))
-    t_down = (xi + 1.0) ** 2 * math.exp(beta * (xi - 1.0 - 2.0 * m))
+    t_up = sq_up * math.exp(beta * (1.0 + xi - 2.0 * m))
+    t_down = sq_down * math.exp(beta * (xi - 1.0 - 2.0 * m))
     return t_const + t_up + t_down

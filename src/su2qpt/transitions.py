@@ -25,7 +25,6 @@ __all__ = [
     "JUMP_COLUMNS",
     "CeqSearchResult",
     "SweepTable",
-    "CSV_HEADER",
     "csv_cells",
     "csv_text",
     "MIN_SCHEDULE",
@@ -387,8 +386,6 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     return refined(float(grid[i - 1]), float(grid[i + 1]))
 
 
-CSV_HEADER = ",".join(thermo.COLUMNS)
-
 def csv_cells(values) -> list[str]:
     """Each value of an array as its CSV cell, format(x, '.17g'), in flat order."""
     flat = np.asarray(values, dtype=float).ravel()
@@ -411,7 +408,7 @@ class SweepTable:
     """Thermal observables on a (beta, lam) grid as one read-only array.
 
     ``values`` holds one row per grid point, outer beta then inner lam,
-    and one column per name in ``COLUMNS``, the fields of ``CSV_HEADER``.
+    and one column per name in ``COLUMNS``, the fields of its CSV header.
     """
 
     COLUMNS: ClassVar[tuple[str, ...]] = thermo.COLUMNS

@@ -233,18 +233,10 @@ def _mp_mean_energy(s: Spectrum, beta, lam):
     return e_min + acc / w_sum
 
 
-def _mp_fd_beta(s: Spectrum, beta: float, lam: float) -> float:
-    h = mpf(1e-5 * max(1.0, 1.0 / beta))
-    b = mpf(beta)
-    x = mpf(lam)
-    return float((_mp_mean_energy(s, b + h, x) - _mp_mean_energy(s, b - h, x)) / (2 * h))
-
-
-def _mp_fd_lambda(s: Spectrum, beta: float, lam: float) -> float:
-    h = mpf(1e-6)
-    b = mpf(beta)
-    x = mpf(lam)
-    return float((_mp_mean_energy(s, b, x + h) - _mp_mean_energy(s, b, x - h)) / (2 * h))
+def _mp_central(f, x: float, h: float) -> float:
+    """The central difference (f(x + h) - f(x - h)) / 2h of an mpf function, as a float."""
+    x, h = mpf(x), mpf(h)
+    return float((f(x + h) - f(x - h)) / (2 * h))
 
 
 @_check("thermo engine properties", budget=5.0)
@@ -274,8 +266,9 @@ def check_thermo_properties():
                     )
                     if not inv:
                         notes.append(f"shift invariance broken at n={n} beta={beta} lam={lam}")
-                    fd_b = _mp_fd_beta(s, beta, lam)
-                    fd_l = _mp_fd_lambda(s, beta, lam)
+                    h_b = 1e-5 * max(1.0, 1.0 / beta)
+                    fd_b = _mp_central(lambda b: _mp_mean_energy(s, b, mpf(lam)), beta, h_b)
+                    fd_l = _mp_central(lambda x: _mp_mean_energy(s, mpf(beta), x), lam, 1e-6)
                     if not _rel_ok(obs.c_star_beta, fd_b, 1e-5):
                         notes.append(f"c_star_beta FD mismatch at n={n} beta={beta} lam={lam}")
                     if not _rel_ok(obs.c_star_lambda, fd_l, 1e-5):

@@ -10,6 +10,8 @@ vectorised exp can round differently from libm's on some CPUs, so their
 last bits depend on the host.  Four ``critical`` cases run the tracked
 peak route all the same, because nothing else pins its bytes end to end:
 its refinement must reach the same bits however its points are batched.
+Five ``critical --n 2`` cases pin the N = 2 residual route, whose
+``math.exp`` is libm's, and the error line of a residual that overflows.
 They were generated on an x86-64 host with numpy 2.4; a host whose exp
 rounds differently fails them alone, and regenerates them from a
 commit known to be good.
