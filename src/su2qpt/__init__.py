@@ -8,7 +8,7 @@ of locating the ground-state level crossings.
 
 The package republishes each library module's ``__all__``.  The CLI
 front end (``su2qpt.cli``) and the acceptance suite (``su2qpt.validation``,
-which loads mpmath) stay in their own modules.
+which imports the CLI) stay in their own modules.
 """
 
 from . import eigensolver, model, spin_algebra, thermo, transitions

@@ -427,7 +427,7 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
 
 
 def cmd_validate(cfg: dict) -> tuple[str, int]:
-    # imported here so that no other command pays for loading mpmath
+    # imported here so that no other command pays for importing the suite
     from . import validation
 
     results = validation.run_all()

@@ -216,19 +216,26 @@ def observables_grid(s: Spectrum, beta, lams) -> np.ndarray:
 def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     """Full set of canonical observables at one (beta, lam) point.
 
-    The one-point case of the kernel behind ``observables_grid``.
+    The one-point case of the kernel behind ``observables_grid``, which
+    takes many couplings.
+
+    Raises
+    ------
+    ValueError
+        When beta or lam is not a scalar, or beta is negative or not finite.
     """
+    beta, lam = np.asarray(beta, dtype=float), np.asarray(lam, dtype=float)
+    if beta.ndim or lam.ndim:
+        raise ValueError("observables takes one (beta, lam) point; use observables_grid for many")
     _check_beta(beta)
-    [(_, columns, p_levels, levels)] = _kernel(
-        s, np.asarray(beta, dtype=float), np.asarray(lam, dtype=float)
-    )
+    [(_, columns, p_levels, levels)] = _kernel(s, beta, lam)
     p = np.zeros(s.slopes.size)
     p[levels] = p_levels[0]
     p.setflags(write=False)
     fields = dict(zip(COLUMNS[2:], (c.item() for c in columns)))
     return ThermalObservables(
-        beta=beta,
-        lam=lam,
+        beta=beta.item(),
+        lam=lam.item(),
         energy_variance=-fields["c_star_beta"],
         occupations=p,
         **fields,

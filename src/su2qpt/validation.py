@@ -3,9 +3,10 @@
 One harness, ``_check``, times each check against its fixed budget and
 reports it as one CheckResult; the CLI ``validate`` subcommand prints
 them as a pass/fail table.  Derivative identities are verified against
-arbitrary-precision central differences (mpmath), because at beta = 50
-the energy variance sits fifteen orders of magnitude below the mean
-energy and double precision differencing cannot see it.
+50-digit central differences (the standard library's ``decimal``),
+because at beta = 50 the energy variance sits fifteen orders of
+magnitude below the mean energy and double precision differencing
+cannot see it.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import math
 import os
 import tempfile
 from dataclasses import astuple, dataclass
+from decimal import Decimal, localcontext
 from functools import wraps
 from time import perf_counter
 
 import numpy as np
-from mpmath import mp, mpf
 
 from . import cli, model, spin_algebra, thermo, transitions
 from .eigensolver import jacobi_eigenvalues
@@ -223,19 +224,24 @@ def check_remnant_peaks():
     )
 
 
-def _mp_mean_energy(s: Spectrum, beta, lam):
-    """Mean energy in arbitrary precision; beta and lam are mpf."""
-    e = [mpf(float(i)) + mpf(float(sl)) * lam for i, sl in zip(s.intercepts, s.slopes)]
+def _decimal_mean_energy(s: Spectrum, beta: Decimal, lam: Decimal) -> Decimal:
+    """Mean energy at the precision of the current decimal context.
+
+    Decimal of a float is exact and Decimal.exp rounds correctly, so every
+    digit lost comes from the context's precision alone.
+    """
+    pairs = zip(s.intercepts.tolist(), s.slopes.tolist())
+    e = [Decimal(i) + Decimal(sl) * lam for i, sl in pairs]
     e_min = min(e)
-    w = [mp.e ** (-beta * (x - e_min)) for x in e]
+    w = [(-beta * (x - e_min)).exp() for x in e]
     w_sum = sum(w)
     acc = sum(wi * (x - e_min) for wi, x in zip(w, e))
     return e_min + acc / w_sum
 
 
-def _mp_central(f, x: float, h: float) -> float:
-    """The central difference (f(x + h) - f(x - h)) / 2h of an mpf function, as a float."""
-    x, h = mpf(x), mpf(h)
+def _decimal_central(f, x: float, h: float) -> float:
+    """The central difference (f(x + h) - f(x - h)) / 2h of a Decimal function, as a float."""
+    x, h = Decimal(x), Decimal(h)
     return float((f(x + h) - f(x - h)) / (2 * h))
 
 
@@ -245,7 +251,9 @@ def check_thermo_properties():
     notes = []
     shift = 0.37
     worst_fd = 0.0
-    with mp.workdps(50):
+    # decimal.localcontext takes no keyword arguments before Python 3.11
+    with localcontext() as ctx:
+        ctx.prec = 50
         for n in (2, 4, 8):
             s = model.analytic_spectrum(Multiplet(n))
             shifted = Spectrum(s.m_values, s.intercepts + shift, s.slopes)
@@ -267,8 +275,12 @@ def check_thermo_properties():
                     if not inv:
                         notes.append(f"shift invariance broken at n={n} beta={beta} lam={lam}")
                     h_b = 1e-5 * max(1.0, 1.0 / beta)
-                    fd_b = _mp_central(lambda b: _mp_mean_energy(s, b, mpf(lam)), beta, h_b)
-                    fd_l = _mp_central(lambda x: _mp_mean_energy(s, mpf(beta), x), lam, 1e-6)
+                    fd_b = _decimal_central(
+                        lambda b: _decimal_mean_energy(s, b, Decimal(lam)), beta, h_b
+                    )
+                    fd_l = _decimal_central(
+                        lambda x: _decimal_mean_energy(s, Decimal(beta), x), lam, 1e-6
+                    )
                     if not _rel_ok(obs.c_star_beta, fd_b, 1e-5):
                         notes.append(f"c_star_beta FD mismatch at n={n} beta={beta} lam={lam}")
                     if not _rel_ok(obs.c_star_lambda, fd_l, 1e-5):

@@ -7,11 +7,13 @@ or in the failure report) and asserts the corresponding check from
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from su2qpt import model, thermo, transitions, validation
+from su2qpt.spin_algebra import Multiplet
 
 
 def _report(num: int, result) -> None:
@@ -78,6 +80,32 @@ def test_criterion_5_remnant_peaks():
 
 def test_criterion_6_thermo_engine_properties():
     _report(6, validation.check_thermo_properties())
+
+
+@pytest.mark.parametrize("field", ["c_star_lambda", "c_star_beta"])
+def test_criterion_6_catches_a_derivative_off_by_ten_tolerances(monkeypatch, field):
+    # 1 + 1e-4 is ten times the finite-difference tolerance of 1e-5
+    observables = thermo.observables
+
+    def scaled(*args):
+        obs = observables(*args)
+        return dataclasses.replace(obs, **{field: getattr(obs, field) * (1 + 1e-4)})
+
+    monkeypatch.setattr(thermo, "observables", scaled)
+    result = validation.check_thermo_properties()
+    assert not result.passed
+    assert result.detail.startswith(f"{field} FD mismatch at n=2 beta=0.5 lam=0.1;")
+
+
+@pytest.mark.parametrize("xi,beta", [(0.1, 0.5), (0.5, 1.0), (0.9, 5.0), (1.3, 20.0), (2.0, 0.1)])
+def test_criterion_6_decimal_mean_energy_matches_the_n2_closed_form(xi, beta):
+    # the spectrum {-1, -xi, +1} of N = 2 at lambda = xi
+    s = model.analytic_spectrum(Multiplet(2))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        got = float(validation._decimal_mean_energy(s, Decimal(beta), Decimal(xi)))
+    want = thermo.n2_closed_forms(xi, beta).mean_e
+    assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_criterion_7_numerical_robustness():

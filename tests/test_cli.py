@@ -126,16 +126,36 @@ def test_program_run_writes_the_in_process_bytes(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, b"")
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath serves only the acceptance suite, which cmd_validate imports
+def test_cli_import_leaves_validation_unloaded():
+    # only cmd_validate imports the acceptance suite, so no other command pays for it
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, su2qpt.cli; print('mpmath' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, su2qpt.cli; print('su2qpt.validation' in sys.modules)",
+        ],
         capture_output=True,
         text=True,
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_validate_runs_without_mpmath():
+    # numpy and the standard library are the whole runtime: a None entry in
+    # sys.modules makes any import of mpmath raise
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import su2qpt.cli\n"
+        "sys.exit(su2qpt.cli.main(['validate']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("8/8 checks passed\n")
 
 
 @pytest.mark.parametrize(

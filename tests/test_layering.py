@@ -49,7 +49,7 @@ def test_only_model_names_the_evaluation_policy(path):
 
 
 # the library modules the package republishes; the CLI front end and the
-# acceptance suite (which loads mpmath) stay in their own modules
+# acceptance suite (which imports the CLI) stay in their own modules
 LIBRARY = ("eigensolver", "model", "spin_algebra", "thermo", "transitions")
 
 

@@ -41,6 +41,43 @@ def test_negative_beta_rejected():
         observables(S4, -1.0, 0.5)
 
 
+S5000 = analytic_spectrum(Multiplet(5000))
+
+
+@pytest.mark.parametrize(
+    "s, beta, lam",
+    [
+        (S4, 1.0, np.array([0.1, 0.2])),
+        (S5000, 1.0, np.array([0.1, 0.2])),
+        (S5000, np.array([1.0, 2.0]), np.array([0.1, 0.2])),
+        (S4, 1.0, np.array([0.1])),
+        (S4, np.array([1.0]), 0.1),
+        (S4, [1.0, 2.0], 0.1),
+        (S4, np.array([-1.0, 2.0]), 0.1),
+    ],
+    ids=[
+        "lam-vector",
+        "lam-vector-large-n",
+        "both-vectors",
+        "lam-one-element",
+        "beta-one-element",
+        "beta-list",
+        "beta-vector-with-a-negative",
+    ],
+)
+def test_observables_rejects_all_but_one_point(s, beta, lam):
+    # one error for every non-scalar, before beta is checked, naming the grid entry
+    with pytest.raises(ValueError, match="observables_grid"):
+        observables(s, beta, lam)
+
+
+def test_observables_stores_floats():
+    obs = observables(S4, 1, 0)
+    assert type(obs.beta) is float and type(obs.lam) is float
+    obs = observables(S4, np.float64(2.0), np.array(0.5))
+    assert (type(obs.beta), type(obs.lam), obs.beta, obs.lam) == (float, float, 2.0, 0.5)
+
+
 @pytest.mark.parametrize(
     "entry, args",
     [
