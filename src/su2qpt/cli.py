@@ -484,7 +484,8 @@ def main(argv=None) -> int:
         except (OSError, ValueError):
             pass
         return _EXIT_USAGE
-    except (ValueError, OverflowError, FloatingPointError, OSError) as exc:
+    except (ValueError, OverflowError, FloatingPointError, OSError, MemoryError) as exc:
+        # numpy names the allocation it could not make
         print(f"su2qpt: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

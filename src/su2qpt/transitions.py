@@ -301,12 +301,13 @@ def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:
     """Discontinuities of the zero-temperature slope staircase on [lo, hi).
 
     Every level is a line in the coupling, so the ground energy is their
-    lower envelope and each jump is a vertex of it.  One walk follows the
-    envelope from the shallowest level tied for ground at lo, stepping to
-    the nearest exact crossing with a steeper level while that crossing
-    lies below hi, and at a vertex to the steepest of the levels crossing
-    there, so a crossing of several levels is one jump.  Every vertex is
-    reported, with no threshold on its plateau gap: one row of
+    lower envelope and each jump is a vertex of it.  One sorted pass
+    stacks it (Andrew's monotone chain) from the shallowest level tied for
+    ground at lo: the steeper levels come by slope descending, then
+    intercept ascending, and each pops the top while it crosses the level
+    beneath no later than the top did, so a crossing of several levels is
+    one jump to the steepest.  The vertices before the first at or past hi
+    are reported, with no threshold on their plateau gaps: one row of
     ``JUMP_COLUMNS`` each, in a read-only (jumps, 4) table.  The first
     jump's left value is the staircase at lo: the on-point mean if lo is
     a crossing.
@@ -315,22 +316,21 @@ def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:
     # the levels tied for ground at lo, as ``model.ground_level`` finds them
     [(_, _, _, tied)] = model._ties(s, np.asarray(lo))
     k = tied[np.argmax(s.slopes[tied])]
-    lams, rights = [], []
-    while True:
-        steeper = np.flatnonzero(s.slopes < s.slopes[k])
-        rise = s.intercepts[steeper] - s.intercepts[k]
-        vertices = rise / (s.slopes[k] - s.slopes[steeper])
-        lam = float(vertices.min(initial=math.inf))
-        if not lam < hi:
-            break
-        at = steeper[vertices == lam]
-        k = at[np.argmin(s.slopes[at])]
-        lams.append(lam)
-        rights.append(s.slopes[k])
+    steeper = np.flatnonzero(s.slopes < s.slopes[k])
+    steeper = steeper[np.lexsort((s.intercepts[steeper], -s.slopes[steeper]))]
+    # (where the level took over, intercept, slope), from the start level up
+    hull = [(-math.inf, s.intercepts[k].item(), s.slopes[k].item())]
+    for a, b in zip(s.intercepts[steeper].tolist(), s.slopes[steeper].tolist()):
+        if b < hull[-1][2]:  # a level parallel to the top lies on or above it
+            while len(hull) > 1 and (a - hull[-2][1]) / (hull[-2][2] - b) <= hull[-1][0]:
+                hull.pop()
+            hull.append(((a - hull[-1][1]) / (hull[-1][2] - b), a, b))
+    vertices = np.array(hull[1:]).reshape(-1, 3)
+    lams, _, rights = vertices[np.logical_and.accumulate(vertices[:, 0] < hi)].T
 
     # the staircase at lo, then the on-point value at every vertex
-    values = thermo.zero_t_c_star_lambda(s, np.array([lo, *lams]))
-    plateaus = np.array([values[0], *rights])
+    values = thermo.zero_t_c_star_lambda(s, np.concatenate(([lo], lams)))
+    plateaus = np.concatenate((values[:1], rights))
     return _table(lams, plateaus[:-1], plateaus[1:], values[1:])
 
 

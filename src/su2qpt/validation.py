@@ -191,14 +191,10 @@ def check_remnant_peaks():
     crit = [1 / 3, 1.0]
 
     lams = transitions.find_peaks(s4, 110.0, (0.02, 1.4), 1000)[:, _LAMBDA_AT_PEAK].tolist()
-    assigned = set()
-    offsets_ok = bool(lams)
-    for lam in lams:
-        nearest = min(crit, key=lambda c: abs(lam - c))
-        assigned.add(nearest)
-        if abs(lam - nearest) >= 0.05:
-            offsets_ok = False
-    ok_assign = assigned == set(crit) and offsets_ok
+    nearest = [min(crit, key=lambda c: abs(lam - c)) for lam in lams]
+    far = [lam for lam, c in zip(lams, nearest) if abs(lam - c) >= 0.05]
+    assigned = set(nearest)
+    ok_assign = assigned == set(crit) and not far
 
     def dominant(betas, grid: int) -> np.ndarray:
         # the highest peak at each beta, all found in one schedule
@@ -219,7 +215,8 @@ def check_remnant_peaks():
 
     return (
         ok_assign and ok_nested and ok_slope,
-        f"assignments {sorted(assigned)}, nesting {'ok' if ok_nested else 'BROKEN'}, "
+        (f"peak at lam={far[0]!r} is 0.05 or more from its crossing; " if far else "")
+        + f"assignments {sorted(assigned)}, nesting {'ok' if ok_nested else 'BROKEN'}, "
         f"log-log slope {slope:.4f}",
     )
 

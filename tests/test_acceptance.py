@@ -78,6 +78,24 @@ def test_criterion_5_remnant_peaks():
     _report(5, validation.check_remnant_peaks())
 
 
+def test_criterion_5_names_a_peak_far_from_its_crossing(monkeypatch):
+    # every peak moved 0.06 to the right; the first lies past 1/3 + 0.05
+    find_peaks = transitions.find_peaks
+    lam_at_peak = transitions.PEAK_COLUMNS.index("lambda_at_peak")
+
+    def moved(*args):
+        peaks = find_peaks(*args).copy()
+        peaks[:, lam_at_peak] += 0.06
+        return peaks
+
+    s4 = model.analytic_spectrum(Multiplet(4))
+    first = moved(s4, 110.0, (0.02, 1.4), 1000)[0, lam_at_peak].item()
+    monkeypatch.setattr(transitions, "find_peaks", moved)
+    result = validation.check_remnant_peaks()
+    assert not result.passed
+    assert result.detail.startswith(f"peak at lam={first!r} is 0.05 or more from its crossing;")
+
+
 def test_criterion_6_thermo_engine_properties():
     _report(6, validation.check_thermo_properties())
 
@@ -95,6 +113,40 @@ def test_criterion_6_catches_a_derivative_off_by_ten_tolerances(monkeypatch, fie
     result = validation.check_thermo_properties()
     assert not result.passed
     assert result.detail.startswith(f"{field} FD mismatch at n=2 beta=0.5 lam=0.1;")
+
+
+@pytest.mark.parametrize(
+    "broken, note",
+    [
+        (
+            lambda beta, obs: dataclasses.replace(obs, occupations=2.0 * obs.occupations),
+            "occupations broken at n=2 beta=0.5 lam=0.1",
+        ),
+        (
+            # log Z off by 1e-8 relative: -beta*shift no longer relates the two
+            lambda beta, obs: dataclasses.replace(obs, log_z=obs.log_z * (1 + 1e-8)),
+            "shift invariance broken at n=2 beta=0.5 lam=0.1",
+        ),
+        (
+            # only the limits evaluate at beta = 0 and beta = 300
+            lambda beta, obs: dataclasses.replace(obs, entropy=obs.entropy + 1e-6 * (beta == 0)),
+            "entropy(beta=0) != ln(N+1) at n=2",
+        ),
+        (
+            lambda beta, obs: dataclasses.replace(obs, entropy=obs.entropy + 1e-3 * (beta == 300)),
+            "entropy(beta=300, lambda_c) != ln 2 at n=2",
+        ),
+    ],
+    ids=["occupations", "shift-invariance", "entropy-at-beta-0", "entropy-at-a-crossing"],
+)
+def test_criterion_6_names_the_property_it_breaks_first(monkeypatch, broken, note):
+    observables = thermo.observables
+    monkeypatch.setattr(
+        thermo, "observables", lambda s, beta, lam: broken(beta, observables(s, beta, lam))
+    )
+    result = validation.check_thermo_properties()
+    assert not result.passed
+    assert result.detail.startswith(f"{note};")
 
 
 @pytest.mark.parametrize("xi,beta", [(0.1, 0.5), (0.5, 1.0), (0.9, 5.0), (1.3, 20.0), (2.0, 0.1)])

@@ -14,6 +14,7 @@ import pytest
 
 import su2qpt.thermo as thermo_module
 from su2qpt import cli, validation
+from su2qpt.eigensolver import jacobi_eigenvalues
 from su2qpt.model import analytic_spectrum
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
@@ -516,6 +517,21 @@ class TestZeroT:
         assert err == "su2qpt: error: grid '-1.7e308:1.7e308:3' spans more than the float range\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", str(10**17)],
+        ["sweep", "--n", "4", "--beta", "1", "--lambda-grid", f"0:1:{10**17}"],
+    ],
+)
+def test_input_too_large_for_memory_is_one_error_line(argv, capsys):
+    # past the address space numpy refuses the allocation without touching memory
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("su2qpt: error: Unable to allocate ")
+    assert err.count("\n") == 1
+
+
 class TestCritical:
     def test_default_report_n8(self, capsys):
         rc, out, _ = run(["critical", "--n", "8"], capsys)
@@ -787,6 +803,13 @@ class TestValidate:
         assert seen == [True]
         assert len(names) == 8
         assert names[4] == "remnant peak tracking"
+
+    def test_eigensolver_non_convergence_exits_two(self, monkeypatch, capsys):
+        # no sweep allowed: the oracle raises on its first matrix
+        monkeypatch.setattr(validation, "jacobi_eigenvalues", lambda a: jacobi_eigenvalues(a, 0))
+        rc, out, err = run(["validate"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("su2qpt: numerical non-convergence: ")
 
     def test_sign_flip_mutation_is_caught(self, monkeypatch, capsys):
         real = thermo_module.observables

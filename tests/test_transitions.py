@@ -461,6 +461,15 @@ class TestDetectJumps:
         jumps = detect_jumps(s, (0.0, 2.0))
         assert jumps.tolist() == [[1.0, 0.0, -2.0, -1.0]]
 
+    def test_triple_crossing_rounded_apart_is_one_jump(self):
+        # three lines meet at -1/3, but in floats the two steeper ones cross
+        # 3 ulp right of where the middle one crosses the start level; a pop
+        # compares both crossings with the start level, so the middle level
+        # is popped rather than kept as a second jump
+        s = Spectrum([0, 1, 2], [-0.1, -0.4, -3 * 0.1], [0.6, -0.3, 0.0])
+        jumps = detect_jumps(s, (-1.25, 0.0))
+        assert jumps.tolist() == [[-0.3333333333333334, 0.6, -0.3, 0.09999999999999999]]
+
     def test_descending_levels_window_starts_on_crossing(self):
         # at the window's left end the walk starts on the shallower of the
         # two tied levels, whatever the level order
@@ -483,6 +492,27 @@ class TestDetectJumps:
         want = [(-m.j) ** 2 - m.j**2] + [(-m.j + k) ** 2 - m.j**2 for k in range(1, len(crit) + 1)]
         assert plateaus == want
 
+    @pytest.mark.parametrize("n", [8, 129, 1000])
+    @pytest.mark.parametrize("e_gap", [1.0, 0.37])
+    def test_level_order_and_an_energy_shift_keep_the_jumps(self, n, e_gap):
+        # the permuted spectra of tests/test_window.py and the shift by 0.37
+        # of the acceptance suite's shift invariance check
+        s = analytic_spectrum(Multiplet(n), e_gap)
+        window = (0.0, 1.2 * critical_couplings(Multiplet(n), e_gap)[-1])
+        plain = detect_jumps(s, window)
+        order = np.random.default_rng(n).permutation(s.slopes.size)
+        permuted = Spectrum(s.m_values[order], s.intercepts[order], s.slopes[order])
+        assert np.array_equal(detect_jumps(permuted, window), plain)
+        lifted = s.intercepts + 0.37
+        shifted = detect_jumps(Spectrum(s.m_values, lifted, s.slopes), window)
+        assert np.array_equal(shifted[:, LEFT:], plain[:, LEFT:])
+        # the shift rounds each intercept by at most half an ulp of the
+        # largest, so a vertex moves by that over its slope gap, plus its
+        # own rounding
+        gap = plain[:, LEFT] - plain[:, RIGHT]
+        bound = 2 * np.finfo(float).eps * (np.abs(lifted).max() / gap + plain[:, JUMP])
+        assert (np.abs(shifted[:, JUMP] - plain[:, JUMP]) <= bound).all()
+
     def test_no_jumps_inside_a_plateau(self):
         assert detect_jumps(S4, (0.4, 0.9)).shape == (0, len(JUMP_COLUMNS))
 
@@ -500,6 +530,16 @@ class TestDetectJumps:
     # plateau gaps of 0.25, inside the window and at its left end
     @example(levels=[(0, 0), (1, -1)], lo64=0, width64=128)
     @example(levels=[(0, 0), (0, 1)], lo64=0, width64=1)
+    # parallel levels with different intercepts, the higher one listed first
+    @example(levels=[(0, 0), (8, -4), (4, -4), (12, -8)], lo64=0, width64=192)
+    # duplicate levels
+    @example(levels=[(0, 0), (4, -4), (4, -4), (0, 0)], lo64=0, width64=128)
+    # a triple point inside the window, its middle level listed first
+    @example(levels=[(4, -4), (8, -8), (0, 0)], lo64=0, width64=128)
+    # lo exactly on a crossing, with a second crossing inside the window
+    @example(levels=[(0, 0), (4, -4), (12, -8)], lo64=64, width64=128)
+    # a level on the stack until a steeper one crosses the start level first
+    @example(levels=[(0, 0), (8, -4), (4, -8)], lo64=0, width64=192)
     def test_every_envelope_vertex_exactly(self, levels, lo64, width64):
         # each level is (4 * intercept, 4 * slope): quarter-integer lines make
         # every product, sum and crossing float exact or correctly rounded,
