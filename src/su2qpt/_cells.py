@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -225,15 +226,17 @@ def _render(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, end - 1
 
 
-def csv_lines(values: np.ndarray) -> list[str]:
-    """The rows of a 2-D float64 array as CSV lines, in pieces to be joined."""
+def csv_lines(values: np.ndarray) -> Iterator[str]:
+    """The rows of a 2-D float64 array as CSV lines, one chunk of _CHUNK_CELLS cells at a time.
+
+    A chunk is rendered when it is asked for, so the text is never held whole.
+    """
     rows, cols = values.shape
     if not cols:
-        return ["\n" * rows]
+        yield "\n" * rows
+        return
     flat = values.ravel()
-    pieces = []
     for lo in range(0, flat.size, _CHUNK_CELLS):
         text, ends = _render(flat[lo : lo + _CHUNK_CELLS])
         text[ends[(cols - 1 - lo) % cols :: cols]] = ord("\n")
-        pieces.append(text.tobytes().decode("ascii"))
-    return pieces
+        yield text.tobytes().decode("ascii")

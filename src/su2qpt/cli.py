@@ -18,13 +18,15 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
-from . import model, transitions
+from . import _cells, model, transitions
 from .eigensolver import NonConvergenceError
 from .spin_algebra import Multiplet
 
@@ -231,8 +233,12 @@ def _make_config(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to ``out`` or, when it is None, every byte to stdout.
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text of ``chunks`` to ``out`` or, when it is None, every byte to stdout.
+
+    A CSV command's chunks are rendered only as they are asked for, so
+    each is written before the next is made and the text is never held
+    whole; a str is written as one chunk.
 
     Under ``PYTHONUNBUFFERED`` stdout's binary layer is a raw ``FileIO``
     whose write may take fewer bytes than offered (a pipe whose reader
@@ -240,27 +246,30 @@ def _emit(text: str, out: str | None) -> None:
     Looping on the count makes a cut-short write retry and surface as
     ``BrokenPipeError`` rather than a silently truncated exit 0.
     """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out is not None:
         # newline="" keeps the \n line-end contract on every platform
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     sys.stdout.flush()
     binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
         # a text-only stand-in (io.StringIO under redirect_stdout) has no
         # short writes to guard against
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    view = memoryview(text.encode("utf-8"))
-    while view:
-        n = binary.write(view)
-        if not n:
-            # None: a non-blocking stdout would block; 0: no progress
-            raise BlockingIOError(
-                errno.EAGAIN, f"stdout took no bytes; {len(view)} left unwritten"
-            )
-        view = view[n:]
+    for chunk in chunks:
+        view = memoryview(chunk.encode("utf-8"))
+        while view:
+            n = binary.write(view)
+            if not n:
+                # None: a non-blocking stdout would block; 0: no progress
+                raise BlockingIOError(
+                    errno.EAGAIN, f"stdout took no bytes; {len(view)} left unwritten"
+                )
+            view = view[n:]
     binary.flush()
 
 
@@ -274,7 +283,7 @@ def _records(columns, rows) -> list[dict]:
     return [dict(zip(columns, row)) for row in rows]
 
 
-def cmd_spectrum(cfg: dict) -> tuple[str, int]:
+def cmd_spectrum(cfg: dict) -> tuple[Iterable[str], int]:
     mult = Multiplet(cfg["n"])
     s = model.analytic_spectrum(mult, cfg["e_gap"])
     crit = model.critical_couplings(mult, cfg["e_gap"])
@@ -296,11 +305,13 @@ def cmd_spectrum(cfg: dict) -> tuple[str, int]:
         return _dump_json(payload), _EXIT_OK
 
     columns = ["m", "intercept", "slope"] + ["energy_at_" + c for c in transitions.csv_cells(lams)]
-    comment = ",".join(["# critical_couplings", *transitions.csv_cells(crit)]) + "\n"
-    return transitions.csv_text(columns, table) + comment, _EXIT_OK
+    # the crossings' comment line streams too: a label, then crit rendered as one row
+    label = "# critical_couplings," if crit.size else "# critical_couplings"
+    comment = _cells.csv_lines(crit[None, :])
+    return itertools.chain(transitions.csv_text(columns, table), [label], comment), _EXIT_OK
 
 
-def cmd_sweep(cfg: dict) -> tuple[str, int]:
+def cmd_sweep(cfg: dict) -> tuple[Iterable[str], int]:
     if "beta" not in cfg:
         raise ValueError("sweep needs --beta")
     if "lambda_grid" not in cfg:
@@ -312,7 +323,7 @@ def cmd_sweep(cfg: dict) -> tuple[str, int]:
     return table.csv_text(), _EXIT_OK
 
 
-def cmd_zero_t(cfg: dict) -> tuple[str, int]:
+def cmd_zero_t(cfg: dict) -> tuple[Iterable[str], int]:
     if "lambda_grid" not in cfg:
         raise ValueError("zero-t needs --lambda-grid")
     grid = cfg["lambda_grid"]
@@ -383,7 +394,7 @@ def _ceq_block(cfg: dict, xi_window) -> dict:
     }
 
 
-def cmd_critical(cfg: dict) -> tuple[str, int]:
+def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     mult, e_gap, method = Multiplet(cfg["n"]), cfg["e_gap"], cfg["method"]
     s = model.analytic_spectrum(mult, e_gap)
     crit = model.critical_couplings(mult, e_gap)
@@ -426,7 +437,7 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
     return _dump_json(report), exit_code
 
 
-def cmd_validate(cfg: dict) -> tuple[str, int]:
+def cmd_validate(cfg: dict) -> tuple[Iterable[str], int]:
     # imported here so that no other command pays for importing the suite
     from . import validation
 
@@ -462,15 +473,17 @@ def main(argv=None) -> int:
         # an overflowing or undefined value is an error in every format
         with np.errstate(over="raise", invalid="raise"):
             cfg = _make_config(ns)
-            text, exit_code = _DISPATCH[cfg["command"]](cfg)
-        if argv is None:
-            # Run as the program, this write is its last act: everything
-            # alive now lives until exit, and once frozen the garbage
-            # collections of the interpreter's shutdown skip it.  A caller
-            # passing argv keeps its collector as it was.
-            gc.freeze()
-        # the one write: exit 0 means every byte of it was written
-        _emit(text, cfg.get("out"))
+            # the command computes every value here; only a CSV's
+            # formatting is left, done chunk by chunk as it is written
+            output, exit_code = _DISPATCH[cfg["command"]](cfg)
+            if argv is None:
+                # Run as the program, this write is its last act: everything
+                # alive now lives until exit, and once frozen the garbage
+                # collections of the interpreter's shutdown skip it.  A caller
+                # passing argv keeps its collector as it was.
+                gc.freeze()
+            # the one write: exit 0 means every byte of it was written
+            _emit(output, cfg.get("out"))
         return exit_code
     except NonConvergenceError as exc:
         print(f"su2qpt: numerical non-convergence: {exc}", file=sys.stderr)

@@ -55,14 +55,37 @@ def _check_e_gap(e_gap: float) -> None:
         raise ValueError("e_gap must be positive and finite")
 
 
+def _owned(a) -> np.ndarray:
+    """``a`` as a read-only C-ordered float64 array.
+
+    One that already is, and owns its data, is kept as it is: that is how
+    a fresh array is handed over, and copying it would only hold it twice,
+    so hand over only an array nothing else writes to.  Anything else (a
+    list, another dtype, a writable array, a view even if read-only) is
+    copied and the copy frozen, so no later write to the caller's data
+    reaches it.
+    """
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and a.flags.c_contiguous
+        and not a.flags.writeable
+    ):
+        a = np.array(a, dtype=float, order="C")
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """The full set of affine levels as three arrays, ordered by ascending M.
 
     Level i has J_z label ``m_values[i]`` and energy
-    ``intercepts[i] + slopes[i]*lam``.  The arrays are copied to float and
-    frozen on construction, so a spectrum can be shared freely and
-    repeated thermodynamic evaluations stay cheap.
+    ``intercepts[i] + slopes[i]*lam``.  The arrays are read-only float64
+    (``_owned``: a fresh read-only array is kept, anything else copied and
+    frozen), so a spectrum can be shared freely and repeated thermodynamic
+    evaluations stay cheap.
     """
 
     m_values: np.ndarray
@@ -70,7 +93,7 @@ class Spectrum:
     slopes: np.ndarray
 
     def __post_init__(self):
-        arrays = [np.array(a, dtype=float) for a in (self.m_values, self.intercepts, self.slopes)]
+        arrays = [_owned(a) for a in (self.m_values, self.intercepts, self.slopes)]
         if any(a.ndim != 1 for a in arrays):
             raise ValueError("spectrum arrays must be one-dimensional")
         if arrays[0].size == 0:
@@ -78,7 +101,6 @@ class Spectrum:
         if any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError("spectrum arrays must have equal length")
         for name, a in zip(("m_values", "intercepts", "slopes"), arrays):
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def energies(self, lam: float) -> np.ndarray:
@@ -114,8 +136,14 @@ def analytic_spectrum(m: Multiplet, e_gap: float = 1.0) -> Spectrum:
     slope a clean +0.0 instead of -0.0.
     """
     _check_e_gap(e_gap)
+    # three fresh arrays, no temporary, frozen so that the spectrum keeps them uncopied
     ms = m.m_values()
-    return Spectrum(ms, e_gap * ms, ms * ms - m.j * m.j)
+    intercepts = np.multiply(ms, e_gap)
+    slopes = np.multiply(ms, ms)
+    slopes -= m.j * m.j
+    for a in (ms, intercepts, slopes):
+        a.setflags(write=False)
+    return Spectrum(ms, intercepts, slopes)
 
 
 def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> np.ndarray:

@@ -57,7 +57,10 @@ class Multiplet:
 
     def m_values(self) -> np.ndarray:
         """J_z quantum numbers in basis order, -J first."""
-        return -self.j + np.arange(self.dim)
+        # in place: the exact half-integers i - J with no integer temporary
+        ms = np.arange(self.dim, dtype=float)
+        ms -= self.j
+        return ms
 
 
 def raising(m: Multiplet) -> np.ndarray:

@@ -10,7 +10,9 @@ peek at the closed-form answer while searching.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -392,15 +394,17 @@ def csv_cells(values) -> list[str]:
     return "".join(_cells.csv_lines(flat[None, :]))[:-1].split(",") if flat.size else []
 
 
-def csv_text(columns, values) -> str:
+def csv_text(columns, values) -> Iterator[str]:
     """CSV of a 2-D array: a header line of ``columns``, then one line per row at 17 digits.
 
     Each cell is format(x, '.17g'), so it reads back as the float it came from.
+    The text comes as chunks, the header first, each rendered only when it is
+    asked for; ``"".join`` them for one string.  The shape is checked at once.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(columns):
         raise ValueError(f"values must have shape (rows, {len(columns)})")
-    return "".join([",".join(columns) + "\n", *_cells.csv_lines(values)])
+    return itertools.chain([",".join(columns) + "\n"], _cells.csv_lines(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,19 +413,20 @@ class SweepTable:
 
     ``values`` holds one row per grid point, outer beta then inner lam,
     and one column per name in ``COLUMNS``, the fields of its CSV header.
+    It is taken as it is when it is a read-only C-ordered float64 array
+    that owns its data (``model.Spectrum``'s rule), else copied and frozen.
     """
 
     COLUMNS: ClassVar[tuple[str, ...]] = thermo.COLUMNS
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = model._owned(self.values)
         if values.ndim != 2 or values.shape[1] != len(self.COLUMNS):
             raise ValueError(f"values must have shape (rows, {len(self.COLUMNS)})")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def csv_text(self) -> str:
+    def csv_text(self) -> Iterator[str]:
         return csv_text(self.COLUMNS, self.values)
 
 
@@ -433,4 +438,5 @@ def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:
         raise ValueError("grids must be non-empty")
     # rows outer beta, inner lam
     values = thermo.observables_grid(s, np.repeat(betas, lams.size), np.tile(lams, betas.size))
+    values.setflags(write=False)  # the table takes this fresh array without a copy
     return SweepTable(values)

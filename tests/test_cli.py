@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 import su2qpt.thermo as thermo_module
-from su2qpt import cli, validation
+from su2qpt import _cells, cli, transitions, validation
 from su2qpt.eigensolver import jacobi_eigenvalues
-from su2qpt.model import analytic_spectrum
+from su2qpt.model import analytic_spectrum, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import JUMP_COLUMNS, TRACKED_COLUMNS
@@ -356,12 +357,44 @@ class TestSweep:
         assert out == ""
         assert err.startswith("su2qpt: error:")
 
-    def test_csv_refuses_overflowing_values(self, capsys):
-        # the same overflow is an error in CSV too, not a nan cell and exit 0
-        rc, out, err = run(["sweep", "--n", "4", "--beta", "1e300", "--lambda-grid", "0.5"], capsys)
-        assert rc == 1
-        assert out == ""
-        assert err.startswith("su2qpt: error:")
+    def test_csv_refuses_overflowing_values(self, tmp_path, capsys):
+        # the same overflow is an error in CSV too, not a nan cell and exit 0;
+        # the second input is many chunks of CSV with the overflow in its last
+        # beta: the engine finishes before the first byte is written
+        path = tmp_path / "sweep.csv"
+        for grids in (
+            ["--beta", "1e300", "--lambda-grid", "0.5"],
+            ["--beta", "1,1e300", "--lambda-grid", "0.02:1.4:20000"],
+        ):
+            rc, out, err = run(["sweep", "--n", "4", *grids], capsys)
+            assert rc == 1
+            assert out == ""
+            assert err.startswith("su2qpt: error:")
+            # nor is a partial file left behind
+            rc, out, err = run(["sweep", "--n", "4", *grids, "--out", str(path)], capsys)
+            assert (rc, out) == (1, "")
+            assert err.startswith("su2qpt: error:")
+            assert not path.exists()
+
+    def test_csv_memory_does_not_grow_with_the_output(self, tmp_path, capsys):
+        # the CSV is written chunk by chunk as it renders, so past the table
+        # itself the traced peak stays flat as the grid grows fourfold; held
+        # whole, the text grew it about three times
+        path = tmp_path / "sweep.csv"
+
+        def excess(points: int) -> int:
+            args = ["sweep", "--n", "8", "--beta", "110", "--lambda-grid", f"0.02:1.4:{points}"]
+            tracemalloc.start()
+            try:
+                assert cli.main(args + ["--out", str(path)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - points * len(thermo_module.COLUMNS) * 8
+
+        excess(1000)  # the renderer's per-process tables
+        small, large = excess(10_000), excess(40_000)
+        assert large <= 1.2 * small
 
     def test_unwritable_out_path(self, capsys):
         rc, _, err = run(
@@ -435,14 +468,26 @@ class _ShortRaw(io.RawIOBase):
         return len(taken)
 
 
+def _many_chunks():
+    """A CSV of several chunks, as an iterator of them."""
+    values = np.arange(3 * _cells._CHUNK_CELLS, dtype=float).reshape(-1, 3) * 0.1
+    return transitions.csv_text(["a", "b", "c"], values)
+
+
 class TestEmit:
     def test_short_writes_deliver_every_byte_in_order(self, monkeypatch):
-        raw = _ShortRaw([1, 7, 4093, 2])
-        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
-        text = "".join(f"{i},{i * 0.1!r}\n" for i in range(5000))
-        cli._emit(text, None)
-        assert raw.data == text.encode("utf-8")
-        assert raw.calls > len(text) // 4103
+        # one string, then many chunks: a short write can straddle a chunk's end
+        for output in (
+            lambda: "".join(f"{i},{i * 0.1!r}\n" for i in range(5000)),
+            _many_chunks,
+        ):
+            raw = _ShortRaw([1, 7, 4093, 2])
+            stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+            monkeypatch.setattr(sys, "stdout", stdout)
+            cli._emit(output(), None)
+            text = "".join(output())
+            assert raw.data == text.encode("utf-8")
+            assert raw.calls > len(text) // 4103
 
     def test_would_block_raises_instead_of_spinning(self, monkeypatch):
         raw = _ShortRaw([None])
@@ -461,6 +506,14 @@ class TestEmit:
             "1,-0.5,-1,2\n"
             "2,-1,-2,1\n"
         )
+        # and an output of many chunks, every one of them in order
+        sink = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sink)
+        grid = np.linspace(0.0, 2.0, _cells._CHUNK_CELLS)
+        assert cli.main(["zero-t", "--n", "2", "--lambda-grid", f"0:2:{grid.size}"]) == 0
+        e0, slope, degeneracy = ground_level(analytic_spectrum(Multiplet(2)), grid)
+        table = np.column_stack([grid, slope, e0, degeneracy])
+        assert sink.getvalue() == "".join(transitions.csv_text(cli._ZERO_T_COLUMNS, table))
 
 
 class TestZeroT:

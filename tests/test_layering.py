@@ -99,4 +99,4 @@ def test_main_is_the_one_write_site():
     ]
     assert writers == ["main"]
     for command in cli._DISPATCH.values():
-        assert command.__annotations__["return"] == "tuple[str, int]", command.__name__
+        assert command.__annotations__["return"] == "tuple[Iterable[str], int]", command.__name__

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from su2qpt.model import (
     ground_level,
 )
 from su2qpt.spin_algebra import Multiplet
+from su2qpt.transitions import SweepTable
 
 
 def pairs(s: Spectrum):
@@ -108,6 +110,47 @@ def test_spectrum_arrays_are_frozen_copies():
     assert np.array_equal(s.m_values, [-0.5, 0.5])
     assert np.array_equal(s.intercepts, [-1.0, 1.0])
     assert np.array_equal(s.slopes, [0.0, 0.0])
+
+    # a read-only view is copied too: its writable base could still change it
+    base = np.array([-1.0, 0.0, 1.0])
+    view = base[:]
+    view.setflags(write=False)
+    s = Spectrum(view, view, view)
+    base[0] = 9.0
+    assert np.array_equal(s.m_values, [-1.0, 0.0, 1.0])
+    # a fresh read-only array that owns its data is kept, not copied again
+    fresh = np.array([-1.0, 0.0, 1.0])
+    fresh.setflags(write=False)
+    assert Spectrum(fresh, fresh, fresh).slopes is fresh
+
+    # the same holds for a sweep table
+    values = np.zeros((2, len(SweepTable.COLUMNS)))
+    table = SweepTable(values)
+    with pytest.raises(ValueError):
+        table.values[0, 0] = 9.0
+    values[0, 0] = 9.0
+    view = values[:]
+    view.setflags(write=False)
+    table = SweepTable(view)
+    values[1, 0] = 9.0
+    assert table.values[1, 0] == 0.0
+    values.setflags(write=False)
+    assert SweepTable(values).values is values
+
+
+def test_analytic_spectrum_holds_its_arrays_once():
+    # its three arrays plus at most one temporary; copying what it just
+    # built held six
+    m = Multiplet(300_000)
+    nbytes = 8 * m.dim
+    tracemalloc.start()
+    try:
+        s = analytic_spectrum(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.slopes.nbytes == nbytes
+    assert peak <= 4 * nbytes
 
 
 def test_spectrum_accessors():

@@ -698,7 +698,7 @@ class TestPhaseDiagram:
 
     def test_csv_header_and_line_ends(self):
         table = phase_diagram(S4, [110.0], [0.3, 0.4])
-        text = table.csv_text()
+        text = "".join(table.csv_text())
         lines = text.split("\n")
         assert lines[0] == ",".join(SweepTable.COLUMNS)
         assert lines[0] == (
@@ -716,7 +716,7 @@ class TestPhaseDiagram:
         special = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
         values = np.concatenate([bits, special])
         values = np.resize(values, (values.size // 8 + 1) * 8).reshape(-1, 8)
-        lines = SweepTable(values).csv_text().split("\n")
+        lines = "".join(SweepTable(values).csv_text()).split("\n")
         want = [",".join(SweepTable.COLUMNS)]
         want += [",".join(format(v, ".17g") for v in row) for row in values.tolist()]
         assert len(lines) == len(want) + 1 and lines[-1] == ""
@@ -724,7 +724,7 @@ class TestPhaseDiagram:
 
     def test_csv_round_trip_reproduces_rows(self):
         table = phase_diagram(S8, [0.5, 70.0], [0.1, 1 / 3, 1.2])
-        text = table.csv_text()
+        text = "".join(table.csv_text())
         body = text.strip().split("\n")[1:]
         for line in body:
             fields = line.split(",")
@@ -805,8 +805,9 @@ class TestCsvCells:
         values = rng.integers(0, 2**64, size=(3000, 7), dtype=np.uint64).view(float)
         values[::5] = rng.normal(size=(600, 7))
         columns = [f"c{j}" for j in range(7)]
-        lines = transitions.csv_text(columns, values).split("\n")
-        rows = [transitions.csv_text(columns, row[None, :]).split("\n")[1] for row in values]
+        lines = "".join(transitions.csv_text(columns, values)).split("\n")
+        rows = ["".join(transitions.csv_text(columns, row[None, :])) for row in values]
+        rows = [text.split("\n")[1] for text in rows]
         assert len(lines) == len(rows) + 2
         assert lines[0] == ",".join(columns) and lines[-1] == ""
         assert [(i, a, b) for i, (a, b) in enumerate(zip(lines[1:], rows)) if a != b][:3] == []
@@ -820,6 +821,6 @@ class TestCsvCells:
             transitions.csv_text(columns, np.zeros(shape))
 
     def test_tables_without_rows_or_columns(self):
-        assert transitions.csv_text(["a", "b", "c"], np.zeros((0, 3))) == "a,b,c\n"
-        assert transitions.csv_text([], np.zeros((2, 0))) == "\n\n\n"
+        assert "".join(transitions.csv_text(["a", "b", "c"], np.zeros((0, 3)))) == "a,b,c\n"
+        assert "".join(transitions.csv_text([], np.zeros((2, 0)))) == "\n\n\n"
         assert transitions.csv_cells([]) == []
