@@ -465,10 +465,9 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return _EXIT_OK
-        return code if isinstance(code, int) else _EXIT_USAGE
+        # argparse leaves only through ``parser.exit(status)``: 0 after
+        # --help, _EXIT_USAGE from ``_Parser.error``
+        return exc.code
     try:
         # an overflowing or undefined value is an error in every format
         with np.errstate(over="raise", invalid="raise"):

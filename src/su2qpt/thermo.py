@@ -9,8 +9,8 @@ the curves are so flat that finite differences lose every digit.
 
 Infinite beta is never represented as a float.  Zero-temperature
 quantities come from the model module's ground-level kernel
-(``model.ground_level``, read here by ``zero_t_c_star_lambda``), which
-avoids inf*0 indeterminacy exactly where the interesting limits live.
+(``model.ground_level``), which avoids inf*0 indeterminacy exactly where
+the interesting limits live.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "COLUMNS",
     "observables",
     "observables_grid",
-    "zero_t_c_star_lambda",
     "n2_closed_forms",
     "ceq_scaled_residual",
 ]
@@ -240,17 +239,6 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
         occupations=p,
         **fields,
     )
-
-
-def zero_t_c_star_lambda(s: Spectrum, lam):
-    """Infinite-beta limit of d<E>/d(lam): the ground level's slope.
-
-    Right at a crossing this is the equal-weight mean over the
-    degenerate pair, matching the limit of the Boltzmann occupations.
-    Between crossings it is a constant, so the curve is a staircase
-    that steps down at every critical coupling.  Any shape of ``lam``.
-    """
-    return model.ground_level(s, lam)[1]
 
 
 class N2ClosedForms(NamedTuple):

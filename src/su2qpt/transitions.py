@@ -331,7 +331,7 @@ def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:
     lams, _, rights = vertices[np.logical_and.accumulate(vertices[:, 0] < hi)].T
 
     # the staircase at lo, then the on-point value at every vertex
-    values = thermo.zero_t_c_star_lambda(s, np.concatenate(([lo], lams)))
+    values = model.ground_level(s, np.concatenate(([lo], lams)))[1]
     plateaus = np.concatenate((values[:1], rights))
     return _table(lams, plateaus[:-1], plateaus[1:], values[1:])
 

@@ -176,7 +176,7 @@ def test_validate_runs_without_mpmath():
             ["critical", "--n", "4"],
             [
                 ("thermo.observables_grid", "transitions.find_peaks"),
-                ("thermo.zero_t_c_star_lambda", "transitions.detect_jumps"),
+                ("model.ground_level", "transitions.detect_jumps"),
             ],
         ),
         (

@@ -396,6 +396,34 @@ def test_no_spurious_degeneracy_at_large_n():
 
 
 @given(
+    st.floats(min_value=math.log10(2.0), max_value=6.0).map(lambda x: round(10.0**x)),
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x),
+)
+@example(4095, 1.0)  # 4096 levels, the most summed whole
+@example(4097, 0.37)  # windowed
+@example(10**6, 1.0)
+def test_ground_slope_approaches_the_thermodynamic_limit(n, e_gap):
+    # In the scaled coupling g = lam*N/e_gap the crossings crowd into one
+    # transition at g = 1, and the slope per J^2 tends to
+    # L(g) = -(1 - min(1, 1/g)^2).  The bound comes from the label count.
+    # Crossing k lies below lam iff k < x = (N + 1 - N/g)/2, so the ground
+    # label is M0 = -J + ceil(x) - 1 = -u + d with u = J/g and
+    # d in [-1/2, 1/2] (both ends at a crossing, where the slope is the
+    # mean of the two).  Then slope/J^2 - L = (d^2 - 2*u*d)/J^2, at most
+    # (u + 1/4)/J^2 = 2/(g*N) + 1/N^2 past g = 1, and 0 up to it, where no
+    # crossing lies below lam.  A label one level off, d -/+ 1, breaks it
+    # at every g but those just beside a crossing.  The 1e-12 is float
+    # rounding: the values compared are at most 1 and exact to a few ulp.
+    j = n / 2
+    lam = np.linspace(0.2, 5.0, 97) * e_gap / n
+    g = lam * n / e_gap  # the scaled couplings evaluated
+    slope = ground_level(analytic_spectrum(Multiplet(n), e_gap), lam)[1]
+    limit = -(1.0 - np.minimum(1.0, 1.0 / g) ** 2)
+    bound = np.where(g > 1.0, (j / g + 0.25) / j**2, 0.0)
+    assert np.all(np.abs(slope / j**2 - limit) <= bound + 1e-12), (n, e_gap)
+
+
+@given(
     st.integers(min_value=2, max_value=16),
     st.floats(min_value=0.0, max_value=2.0),
     st.floats(min_value=0.0, max_value=2.0),

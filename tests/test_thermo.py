@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from su2qpt import model
-from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_level
+from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import (
     COLUMNS,
@@ -15,7 +15,6 @@ from su2qpt.thermo import (
     n2_closed_forms,
     observables,
     observables_grid,
-    zero_t_c_star_lambda,
 )
 from su2qpt.transitions import find_peaks
 
@@ -208,13 +207,6 @@ def test_moment_derivatives_match_high_precision_fd(beta, lam):
         )
     assert abs(o.c_star_beta - fd_b) <= 1e-5 * max(abs(fd_b), 1e-300)
     assert abs(o.c_star_lambda - fd_l) <= 1e-5 * max(abs(fd_l), 1e-300)
-
-
-def test_zero_t_c_star_lambda_is_ground_slope():
-    lams = (0.1, 1 / 3, 0.7, 1.0, 1.3)
-    for lam in lams:
-        assert zero_t_c_star_lambda(S4, lam) == ground_level(S4, lam)[1]
-    assert zero_t_c_star_lambda(S4, lams).tolist() == [0.0, -1.5, -3.0, -3.5, -4.0]
 
 
 def test_n2_closed_forms_frozen():
