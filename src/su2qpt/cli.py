@@ -42,7 +42,6 @@ _ZERO_T_COLUMNS = ("lambda", "c_star_lambda_zero_t", "ground_energy", "degenerac
 _BETA = transitions.TRACKED_COLUMNS.index("beta")
 _OFFSET = transitions.TRACKED_COLUMNS.index("offset")
 _LAMBDA = transitions.JUMP_COLUMNS.index("lambda")
-_LEFT_VALUE = transitions.JUMP_COLUMNS.index("left_value")
 _RIGHT_VALUE = transitions.JUMP_COLUMNS.index("right_value")
 
 
@@ -369,11 +368,13 @@ def _jumps_block(cfg: dict, s, crit) -> dict:
     window = _window(cfg, (0.0, 1.2 * crit[-1].item()))
     jumps = transitions.detect_jumps(s, window)
     _, distances, _ = transitions.nearest_crossing(crit, jumps[:, _LAMBDA])
+    # the staircase at the window's left end (a window without a jump is one
+    # plateau), then right of every jump
+    first = model.ground_level(s, window[0])[1].item()
     return {
         "window": list(window),
         "jumps": _records(transitions.JUMP_COLUMNS, jumps.tolist()),
-        # the staircase at the window's left end, then right of every jump
-        "plateaus": jumps[:1, _LEFT_VALUE].tolist() + jumps[:, _RIGHT_VALUE].tolist(),
+        "plateaus": [first] + jumps[:, _RIGHT_VALUE].tolist(),
         "max_distance_to_analytic": distances.max().item() if distances.size else None,
     }
 
@@ -424,13 +425,16 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     }
     exit_code = _EXIT_OK
     # under all, a schedule too short to track leaves the peak route out, as
-    # a window without the crossing, or n != 2, leaves ceq out
+    # a window without the crossing or reaching below lambda = 0, or n != 2,
+    # leaves ceq out
     trackable = "beta" not in cfg or len(cfg["beta"]) >= transitions.MIN_SCHEDULE
     if crit.size and (method == "peaks" or (method == "all" and trackable)):
         report["peaks"] = _peaks_block(cfg, s, crit)
     if crit.size and method in ("jumps", "all"):
         report["jumps"] = _jumps_block(cfg, s, crit)
-    if method == "ceq" or (method == "all" and mult.n_particles == 2 and not misses_crossing):
+    if method == "ceq" or (
+        method == "all" and mult.n_particles == 2 and 0 <= lo and not misses_crossing
+    ):
         report["ceq"] = _ceq_block(cfg, xi_window)
         if not report["ceq"]["converged"]:
             exit_code = _EXIT_NUMERIC

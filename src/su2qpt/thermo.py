@@ -279,8 +279,8 @@ def n2_closed_forms(xi: float, beta: float) -> N2ClosedForms:
     return N2ClosedForms(z=z, dz_dbeta=dz_dbeta, mean_e=mean_e, g_xi=g_xi)
 
 
-def ceq_scaled_residual(xi: float, beta: float) -> float:
-    """Scaled residual of the zero-variance condition for the N=2 model.
+def ceq_scaled_residual(xi, beta: float):
+    """Scaled residual of the zero-variance condition for the N=2 model, at each xi.
 
     The condition <E^2> = <E>^2 for the three-level spectrum {-1, -xi, +1}
     reads, after multiplying through by Z^2,
@@ -295,20 +295,23 @@ def ceq_scaled_residual(xi: float, beta: float) -> float:
     a sum of non-negative terms: the variance never truly vanishes at
     finite beta.  Multiplying by e^(-2b*max(1, xi)) makes every exponent
     non-positive, so no exponential overflows; only (xi +- 1)^2 can, past
-    xi ~ 1.3e154, and that raises an OverflowError naming xi.  For large
-    beta the scaled residual dips toward zero precisely at xi = 1, which
-    is how the crossing coupling is located from finite-temperature data
-    alone.
+    xi ~ 1.3e154, and that raises an OverflowError naming the first such
+    xi.  For large beta the scaled residual dips toward zero precisely at
+    xi = 1, which is how the crossing coupling is located from
+    finite-temperature data alone.  The result takes the shape of ``xi``
+    (a numpy scalar when it is 0-d).
     """
     _check_beta(beta)
-    if not xi >= 0:
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(xi >= 0):
         raise ValueError("xi must be non-negative")
-    m = max(1.0, xi)
-    try:
-        sq_up, sq_down = (xi - 1.0) ** 2, (xi + 1.0) ** 2
-    except OverflowError:
-        raise OverflowError(f"the scaled residual overflows at xi = {xi!r}") from None
-    t_const = 4.0 * math.exp(-2.0 * beta * m)
-    t_up = sq_up * math.exp(beta * (1.0 + xi - 2.0 * m))
-    t_down = sq_down * math.exp(beta * (xi - 1.0 - 2.0 * m))
-    return t_const + t_up + t_down
+    m = np.maximum(1.0, xi)
+    # an exponent past the float range is -inf, whose exp is the exact 0 it stands for
+    with np.errstate(over="ignore"):
+        sq_up, sq_down = np.square(xi - 1.0), np.square(xi + 1.0)
+        if (over := np.isinf(sq_down)).any():
+            raise OverflowError(f"the scaled residual overflows at xi = {xi[over][0].item()!r}")
+        t_const = 4.0 * np.exp(-2.0 * beta * m)
+        t_up = sq_up * np.exp(beta * (1.0 + xi - 2.0 * m))
+        t_down = sq_down * np.exp(beta * (xi - 1.0 - 2.0 * m))
+        return (t_const + t_up + t_down)[()]

@@ -134,8 +134,7 @@ def _interval(window) -> tuple[float, float]:
 def _scan(f, window, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """A uniform grid of grid_points over window = (lo, hi), and f(grid).
 
-    f maps the whole grid to the array of its values; ``np.vectorize``
-    lifts a function of one coupling to that form.
+    f maps the whole grid to the array of its values.
     """
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
@@ -360,12 +359,9 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     if not lo < 1.0 < hi:
         raise ValueError("search interval must contain the crossing coupling 1 strictly")
 
-    def residual(x: float) -> float:
+    def f(x):
         # looked up at each call, so a wrapper set on the module attribute runs
         return thermo.ceq_scaled_residual(x, beta)
-
-    # otypes spares np.vectorize an extra call per use to learn the output type
-    f = np.vectorize(residual, otypes=[float])
 
     def refined(a: float, b: float) -> CeqSearchResult:
         xtol = 1e-8

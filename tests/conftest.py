@@ -1,6 +1,12 @@
+import os
+
 import hypothesis
 
 hypothesis.settings.register_profile(
     "ci", derandomize=True, max_examples=50, deadline=None
 )
-hypothesis.settings.load_profile("ci")
+# a deeper run of the same properties, for the draws 50 examples rarely reach
+hypothesis.settings.register_profile(
+    "deep", derandomize=True, max_examples=300, deadline=None
+)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))

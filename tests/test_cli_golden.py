@@ -10,11 +10,13 @@ vectorised exp can round differently from libm's on some CPUs, so their
 last bits depend on the host.  Four ``critical`` cases run the tracked
 peak route all the same, because nothing else pins its bytes end to end:
 its refinement must reach the same bits however its points are batched.
-Five ``critical --n 2`` cases pin the N = 2 residual route, whose
-``math.exp`` is libm's, and the error line of a residual that overflows.
+Seven ``critical --n 2`` cases pin the N = 2 residual route, the error
+lines of a residual that overflows and of a window reaching below
+lambda = 0, and the report under ``all`` that leaves the route out there.
 They were generated on an x86-64 host with numpy 2.4.  numpy's AVX-512
-exp rounds a few percent of arguments differently from libm's, and two
-``critical`` cases differ by it in two cells each; those also carry a
+exp rounds a few percent of arguments differently from libm's, and four
+``critical`` cases differ by it in one or two cells each: three in a peak
+height, one in the N = 2 residual.  Those also carry a
 ``stdout_libm_exp``, generated on the same host with
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, where
 numpy's exp is libm's.  Which stdout a case expects is read off the host:

@@ -273,8 +273,29 @@ def test_ceq_residual_positive_and_finite(xi, beta):
 
 
 def test_ceq_residual_rejects_negative_xi():
-    with pytest.raises(ValueError):
-        ceq_scaled_residual(-0.1, 1.0)
+    # an array is rejected for any entry that is negative or NaN
+    for xi in (-0.1, [0.5, 1.0, -1e-300], [0.5, math.nan, 1.0]):
+        with pytest.raises(ValueError, match="xi must be non-negative"):
+            ceq_scaled_residual(np.array(xi), 1.0)
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20),
+    st.floats(min_value=0.0, max_value=1e4),
+)
+@example([0.5, 1.0, 1.0 + 1e-12, 3.0], 200.0)
+def test_ceq_residual_of_an_array_is_its_points_alone(xis, beta):
+    # one call on an array gives each entry the bits of its own 0-d call
+    got = ceq_scaled_residual(np.reshape(xis, (-1, 1)), beta)
+    assert got.shape == (len(xis), 1)
+    assert got.ravel().tolist() == [ceq_scaled_residual(x, beta).item() for x in xis]
+    assert type(ceq_scaled_residual(xis[0], beta)) is np.float64
+
+
+def test_ceq_residual_names_the_first_overflowing_xi():
+    # (xi + 1)^2 overflows past about 1.34e154; no warning is raised either
+    with pytest.raises(OverflowError, match=r"at xi = 2e\+154$"):
+        ceq_scaled_residual([1.0, 2e154, 1e200, 3e160], 1.0)
 
 
 def test_variance_against_two_point_formula():

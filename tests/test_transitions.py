@@ -640,6 +640,21 @@ class TestCeqSearch:
         assert abs(res.xi - 1.0) <= 1e-6
         assert res.residual >= 0.0
 
+    def test_one_residual_call_per_scan_and_golden_step(self, monkeypatch):
+        # the scan is one call on the grid and each golden step one on its
+        # probe; a residual lifted point by point would make hundreds
+        calls = []
+        residual = thermo.ceq_scaled_residual
+
+        def counted(xi, beta):
+            calls.append(np.shape(xi))
+            return residual(xi, beta)
+
+        monkeypatch.setattr(thermo, "ceq_scaled_residual", counted)
+        res = qpt_from_ceq(200.0, (0.5, 1.5))
+        assert len(calls) <= 40 and calls[0] == (257,)
+        assert (res.xi, res.converged) == (1.0000000024058955, True)
+
     def test_misaligned_interval_still_converges(self):
         res = qpt_from_ceq(200.0, (0.4, 1.4))
         assert res.converged
