@@ -1,4 +1,4 @@
-"""Exact bytes of CLI runs whose output involves no exp or log.
+"""Exact bytes of CLI runs, with a libm variant where they depend on exp.
 
 Each case of ``cli_golden.json`` pins one command's exit code, stdout and
 stderr, with its config file, if any, written to ``run.json`` in the

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2qpt import thermo, transitions
-from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings
+from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
@@ -550,6 +550,9 @@ class TestDetectJumps:
         s = Spectrum(list(range(len(levels))), intercepts, slopes)
         got = [tuple(j) for j in detect_jumps(s, (lo, hi)).tolist()]
         assert got == _envelope_vertices(intercepts, slopes, lo, hi)
+        # the CLI's first plateau is a 0-d call at lo; it must be this left value
+        if got:
+            assert got[0][1] == ground_level(s, lo)[1]
 
 
 class TestRouteTables:
