@@ -235,8 +235,8 @@ def _make_config(ns: argparse.Namespace) -> dict:
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the text of ``chunks`` to ``out`` or, when it is None, every byte to stdout.
 
-    A CSV command's chunks are rendered only as they are asked for, so
-    each is written before the next is made and the text is never held
+    A command's tables are rendered only as their chunks are asked for,
+    so each is written before the next is made and the text is never held
     whole; a str is written as one chunk.
 
     Under ``PYTHONUNBUFFERED`` stdout's binary layer is a raw ``FileIO``
@@ -269,17 +269,8 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
                     errno.EAGAIN, f"stdout took no bytes; {len(view)} left unwritten"
                 )
             view = view[n:]
+        del chunk, view  # not held while the next chunk renders
     binary.flush()
-
-
-def _dump_json(obj) -> str:
-    # NaN and inf have no JSON spelling; refuse them rather than emit invalid JSON
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
-def _records(columns, rows) -> list[dict]:
-    """Rows as dicts keyed by ``columns``: a table's JSON form (CSV: ``transitions.csv_text``)."""
-    return [dict(zip(columns, row)) for row in rows]
 
 
 def cmd_spectrum(cfg: dict) -> tuple[Iterable[str], int]:
@@ -288,26 +279,25 @@ def cmd_spectrum(cfg: dict) -> tuple[Iterable[str], int]:
     crit = model.critical_couplings(mult, cfg["e_gap"])
     lams = [float(x) for x in cfg.get("lambda", ())]
     # one row per level: m, intercept, slope, then its energy at each coupling
-    table = np.column_stack([s.m_values, s.intercepts, s.slopes] + [s.energies(x) for x in lams])
+    columns = [s.m_values, s.intercepts, s.slopes] + [s.energies(x) for x in lams]
+    row = dict.fromkeys(["m", "intercept", "slope"], _cells.SLOT)
+    levels = _cells.Table(columns, {**row, "energies": [_cells.SLOT] * len(lams)})
 
     if cfg["format"] == "json":
         payload = {
             "n_particles": mult.n_particles,
             "e_gap": cfg["e_gap"],
             "lambda": lams,
-            "levels": [
-                {"m": row[0], "intercept": row[1], "slope": row[2], "energies": row[3:]}
-                for row in table.tolist()
-            ],
-            "critical_couplings": crit.tolist(),
+            "levels": levels,
+            "critical_couplings": _cells.Table([crit], _cells.SLOT),
         }
-        return _dump_json(payload), _EXIT_OK
+        return _cells.json_text(payload), _EXIT_OK
 
-    columns = ["m", "intercept", "slope"] + ["energy_at_" + c for c in transitions.csv_cells(lams)]
+    header = ",".join([*row] + ["energy_at_" + c for c in transitions.csv_cells(lams)]) + "\n"
     # the crossings' comment line streams too: a label, then crit rendered as one row
     label = "# critical_couplings," if crit.size else "# critical_couplings"
     comment = _cells.csv_lines(crit[None, :])
-    return itertools.chain(transitions.csv_text(columns, table), [label], comment), _EXIT_OK
+    return itertools.chain([header], _cells.csv_lines(levels), [label], comment), _EXIT_OK
 
 
 def cmd_sweep(cfg: dict) -> tuple[Iterable[str], int]:
@@ -318,7 +308,8 @@ def cmd_sweep(cfg: dict) -> tuple[Iterable[str], int]:
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     table = transitions.phase_diagram(s, cfg["beta"], cfg["lambda_grid"])
     if cfg["format"] == "json":
-        return _dump_json(_records(table.COLUMNS, table.values.tolist())), _EXIT_OK
+        row = dict.fromkeys(table.COLUMNS, _cells.SLOT)
+        return _cells.json_text(_cells.Table(table.values.T, row)), _EXIT_OK
     return table.csv_text(), _EXIT_OK
 
 
@@ -328,12 +319,12 @@ def cmd_zero_t(cfg: dict) -> tuple[Iterable[str], int]:
     grid = cfg["lambda_grid"]
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     e0, slope, degeneracy = model.ground_level(s, grid)
+    # the degeneracies stay integers in JSON
+    row = dict.fromkeys(_ZERO_T_COLUMNS, _cells.SLOT)
+    table = _cells.Table([grid, slope, e0, degeneracy], row)
     if cfg["format"] == "json":
-        # the degeneracies stay integers
-        rows = zip(grid.tolist(), slope.tolist(), e0.tolist(), degeneracy.tolist())
-        return _dump_json(_records(_ZERO_T_COLUMNS, rows)), _EXIT_OK
-    table = np.column_stack([grid, slope, e0, degeneracy])
-    return transitions.csv_text(_ZERO_T_COLUMNS, table), _EXIT_OK
+        return _cells.json_text(table), _EXIT_OK
+    return itertools.chain([",".join(_ZERO_T_COLUMNS) + "\n"], _cells.csv_lines(table)), _EXIT_OK
 
 
 def _window(cfg: dict, default_window) -> tuple:
@@ -358,7 +349,7 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
     return {
         "beta_schedule": schedule,
         "window": list(window),
-        "tracked": _records(transitions.TRACKED_COLUMNS, tracked.tolist()),
+        "tracked": _cells.Table(tracked.T, dict.fromkeys(transitions.TRACKED_COLUMNS, _cells.SLOT)),
         "warnings": list(warnings),
         "max_offset_at_beta_max": final_offsets.max().item() if final_offsets.size else None,
     }
@@ -373,8 +364,8 @@ def _jumps_block(cfg: dict, s, crit) -> dict:
     first = model.ground_level(s, window[0])[1].item()
     return {
         "window": list(window),
-        "jumps": _records(transitions.JUMP_COLUMNS, jumps.tolist()),
-        "plateaus": [first] + jumps[:, _RIGHT_VALUE].tolist(),
+        "jumps": _cells.Table(jumps.T, dict.fromkeys(transitions.JUMP_COLUMNS, _cells.SLOT)),
+        "plateaus": _cells.Table([np.append(first, jumps[:, _RIGHT_VALUE])], _cells.SLOT),
         "max_distance_to_analytic": distances.max().item() if distances.size else None,
     }
 
@@ -413,15 +404,15 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     if method == "ceq" and misses_crossing:
         raise ValueError(f"the ceq window must contain lambda_c = e_gap = {e_gap:g} strictly")
 
-    ms = s.m_values.tolist()
+    ms = s.m_values[: crit.size + 1]
     report = {
         "n_particles": mult.n_particles,
         "e_gap": e_gap,
         # crossing n pairs levels n-1 and n of m_values
-        "analytic": [
-            {"n": n, "lambda_c": lam, "lower_m": lower, "upper_m": upper}
-            for n, (lam, lower, upper) in enumerate(zip(crit.tolist(), ms, ms[1:]), 1)
-        ],
+        "analytic": _cells.Table(
+            [np.arange(1, crit.size + 1), crit, ms[:-1], ms[1:]],
+            dict.fromkeys(("n", "lambda_c", "lower_m", "upper_m"), _cells.SLOT),
+        ),
     }
     exit_code = _EXIT_OK
     # under all, a schedule too short to track leaves the peak route out, as
@@ -438,7 +429,7 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
         report["ceq"] = _ceq_block(cfg, xi_window)
         if not report["ceq"]["converged"]:
             exit_code = _EXIT_NUMERIC
-    return _dump_json(report), exit_code
+    return _cells.json_text(report), exit_code
 
 
 def cmd_validate(cfg: dict) -> tuple[Iterable[str], int]:
@@ -476,8 +467,8 @@ def main(argv=None) -> int:
         # an overflowing or undefined value is an error in every format
         with np.errstate(over="raise", invalid="raise"):
             cfg = _make_config(ns)
-            # the command computes every value here; only a CSV's
-            # formatting is left, done chunk by chunk as it is written
+            # the command computes every value here; only the formatting
+            # of its tables is left, done chunk by chunk as it is written
             output, exit_code = _DISPATCH[cfg["command"]](cfg)
             if argv is None:
                 # Run as the program, this write is its last act: everything

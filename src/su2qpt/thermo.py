@@ -131,7 +131,7 @@ def _kernel(s: Spectrum, beta: np.ndarray, lam: np.ndarray):
     beta*(<E> - e_min) + ln(shifted Z), an algebraically identical form
     that cannot go negative through cancellation.
     """
-    beta = beta.ravel()
+    beta = beta.reshape(-1)  # a broadcast beta stays a view, where ravel copies it
 
     def reach(point: int, e_min) -> float:
         # every weight is positive at beta = 0, so every level is in reach

@@ -432,7 +432,8 @@ def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:
     lams = np.asarray(lambda_grid, dtype=float)
     if not betas.size or not lams.size:
         raise ValueError("grids must be non-empty")
-    # rows outer beta, inner lam
-    values = thermo.observables_grid(s, np.repeat(betas, lams.size), np.tile(lams, betas.size))
+    # rows outer beta, inner lam; under one beta both are views, not per-point copies
+    beta, lam = (a.reshape(-1) for a in np.broadcast_arrays(betas[:, None], lams))
+    values = thermo.observables_grid(s, beta, lam)
     values.setflags(write=False)  # the table takes this fresh array without a copy
     return SweepTable(values)

@@ -9,9 +9,12 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import su2qpt.thermo as thermo_module
 from su2qpt import _cells, cli, transitions, validation
@@ -378,8 +381,9 @@ class TestSweep:
 
     def test_csv_memory_does_not_grow_with_the_output(self, tmp_path, capsys):
         # the CSV is written chunk by chunk as it renders, so past the table
-        # itself the traced peak stays flat as the grid grows fourfold; held
-        # whole, the text grew it about three times
+        # and the parsed lambda grid it came from, the traced peak stays flat
+        # as the grid grows fourfold; held whole, the text grew it about
+        # three times
         path = tmp_path / "sweep.csv"
 
         def excess(points: int) -> int:
@@ -390,11 +394,33 @@ class TestSweep:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return peak - points * len(thermo_module.COLUMNS) * 8
+            return peak - points * (len(thermo_module.COLUMNS) + 1) * 8
 
         excess(1000)  # the renderer's per-process tables
         small, large = excess(10_000), excess(40_000)
         assert large <= 1.2 * small
+
+    def test_csv_write_holds_one_chunk(self, tmp_path, capsys, monkeypatch):
+        # what the write holds past what was live when it began: a chunk's
+        # render and write, under 100 bytes a cell of one chunk (the text
+        # itself is about 18), however many chunks the table spans
+        emit, peaks = cli._emit, []
+
+        def traced_emit(chunks, out):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emit(chunks, out)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(cli, "_emit", traced_emit)
+        args = ["sweep", "--n", "8", "--beta", "110", "--lambda-grid", "0.02:1.4:40000"]
+        assert cli.main(args + ["--out", str(tmp_path / "sweep.csv")]) == 0  # per-process tables
+        tracemalloc.start()
+        try:
+            assert cli.main(args + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < 100 * _cells._CHUNK_CELLS
 
     def test_unwritable_out_path(self, capsys):
         rc, _, err = run(
@@ -514,6 +540,97 @@ class TestEmit:
         e0, slope, degeneracy = ground_level(analytic_spectrum(Multiplet(2)), grid)
         table = np.column_stack([grid, slope, e0, degeneracy])
         assert sink.getvalue() == "".join(transitions.csv_text(cli._ZERO_T_COLUMNS, table))
+
+
+def _mixed_chunk() -> np.ndarray:
+    """16,384 cells of every layout: fixed and exponent notation, signs, zeros, subnormals."""
+    rng = np.random.default_rng(27)
+    n = _cells._CHUNK_CELLS // 8
+    parts = [
+        rng.uniform(-1.0, 1.0, 2 * n),
+        rng.choice([-1.0, 1.0], 2 * n) * 10.0 ** rng.uniform(-300.0, 300.0, 2 * n),
+        rng.integers(-1000, 1000, n).astype(float),
+        np.resize([0.0, -0.0, 0.5, 1e16, 1e22, 5e-324, -2.5e-310], n),
+        rng.exponential(3.0, 2 * n),
+    ]
+    chunk = np.concatenate(parts)
+    rng.shuffle(chunk)
+    return chunk
+
+
+class TestTableRendering:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(0, 2**53),
+            ),
+            max_size=12,
+        )
+    )
+    @example([(-0.0, 5e-324, 1), (1e16, 1e22, 2)])
+    @example([(3.0, -7.0, 0), (1e15, 2.0**60, 4096)])  # integral floats stay floats
+    @example([])
+    def test_streamed_json_is_json_dumps(self, rows):
+        # a float, a float and an int column (as degeneracy), at the top
+        # level and nested, as records, values and records holding a list
+        # (as the spectrum's energies), streamed in chunks of every size
+        # down to one row
+        names = ("lambda", "energy", "degeneracy")
+        columns = [np.array(c, dtype=float) for c in list(zip(*rows))[:2] or ([], [])]
+        columns.append(np.array([r[2] for r in rows], dtype=np.intp))
+        row = dict.fromkeys(names, _cells.SLOT)
+        records = [dict(zip(names, r)) for r in rows]
+        nested = {"n": 2, "inner": {"rows": _cells.Table(columns, row)}}
+        nested["values"] = _cells.Table(columns[:1], _cells.SLOT)
+        listed = _cells.Table(columns, {"lambda": _cells.SLOT, "rest": [_cells.SLOT] * 2})
+        docs = [
+            (_cells.Table(columns, row), records),
+            (nested, {"n": 2, "inner": {"rows": records}, "values": [r[0] for r in rows]}),
+            (listed, [{"lambda": a, "rest": [b, c]} for a, b, c in rows]),
+        ]
+        for chunk_cells in (_cells._CHUNK_CELLS, 3, 1):
+            with mock.patch.object(_cells, "_CHUNK_CELLS", chunk_cells):
+                for streamed, plain in docs:
+                    expected = json.dumps(plain, indent=2, allow_nan=False) + "\n"
+                    assert "".join(_cells.json_text(streamed)) == expected
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_a_non_finite_value_exits_1_before_any_byte(self, out, tmp_path, capsys, monkeypatch):
+        # the NaN sits in the last of several chunks: the tables are checked
+        # before the first is written, and the error is json's own
+        ground_level = cli.model.ground_level
+
+        def with_nan(s, lam):
+            e0, slope, degeneracy = ground_level(s, lam)
+            slope = slope.copy()
+            slope[-1] = np.nan
+            return e0, slope, degeneracy
+
+        monkeypatch.setattr(cli.model, "ground_level", with_nan)
+        path = tmp_path / "zero_t.json"
+        args = ["zero-t", "--n", "8", "--lambda-grid", "0:1.4:20000", "--format", "json"]
+        rc, stdout, err = run(args + (["--out", str(path)] if out else []), capsys)
+        with pytest.raises(ValueError) as refused:
+            json.dumps(math.nan, allow_nan=False)
+        assert (rc, stdout, err) == (1, "", f"su2qpt: error: {refused.value}\n")
+        assert not path.exists()
+
+    def test_render_holds_under_64_bytes_a_cell(self):
+        # the kernel's temporaries are narrow and dropped once read; the
+        # text itself is about 18 of these bytes
+        chunk = _mixed_chunk()
+        _cells._render(chunk)  # the per-process tables
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text, end = _cells._render(chunk)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert text.tobytes().decode("ascii") == "".join(f"{v:.17g}," for v in chunk.tolist())
+        assert peak <= 64 * chunk.size
 
 
 class TestZeroT:
