@@ -10,8 +10,8 @@ r = err + m * cl to within 2**-47 (README, Library).  p > 2**53 is an
 integer, so the 17 digits are p + rint(r) unless r lies within
 _TIE_MARGIN of a half: such cells, and the non-finite ones, take '%.17g'.
 
-``json_text`` lays out a report as json.dumps(indent=2) does, each ``Table``
-in it a row chunk at a time from one '%' template over float.__repr__.
+``csv_text`` writes a table as CSV and ``json_text`` a report as json.dumps(indent=2)
+does, each ``Table`` in it a row chunk at a time from one '%' template over float.__repr__.
 """
 
 from __future__ import annotations
@@ -273,24 +273,29 @@ def csv_lines(values) -> Iterator[str]:
     it is asked for, so the text is never held whole, nor one chunk while the
     next renders.
     """
-    rows, cols = values.shape
-    if not cols:
-        yield "\n" * rows
-        return
-    for lo in range(0, rows * cols, _CHUNK_CELLS):
-        yield _lines(values, lo, cols)
+    rows, cols = values.shape  # read at the call, so a shape not 2-D fails there
+    chunks = range(0, rows * cols, _CHUNK_CELLS)
+    return (_lines(values, lo, cols) for lo in chunks) if cols else iter(["\n" * rows])
+
+
+def csv_text(names, values) -> Iterator[str]:
+    """A header line of the names, then ``csv_lines(values)``; values has a column per name."""
+    if values.shape[-1:] != (len(names),):
+        raise ValueError(f"values must have shape (rows, {len(names)})")
+    return itertools.chain([",".join(names) + "\n"], csv_lines(values))
 
 
 class Table:
-    """A list of records, or of values, held as 1-D columns and rendered as it is written.
+    """1-D columns under their names, rendered as they are written; ``csv_text(names, table)``.
 
-    ``row`` is one item as JSON sees it, with ``SLOT`` at each value in column
-    order: a record, or ``SLOT`` alone.  JSON renders a row chunk at a time from
-    one ``%`` template; a row slice stacks the columns, for ``csv_lines``.
+    Its JSON is a list of records keyed by the names, unless ``row`` gives an
+    item as JSON sees it, ``SLOT`` at each value in column order (``SLOT`` alone
+    for a list of values).  A row slice stacks the columns, for ``csv_lines``.
     """
 
-    def __init__(self, columns, row):
-        self.columns, self.row = list(columns), row
+    def __init__(self, names, columns, row=None):
+        self.columns = list(columns)
+        self.row = dict.fromkeys(names, SLOT) if row is None else row
         self.shape = (len(self.columns[0]), len(self.columns))
 
     def __getitem__(self, rows: slice) -> np.ndarray:

@@ -237,7 +237,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
     A command's tables are rendered only as their chunks are asked for,
     so each is written before the next is made and the text is never held
-    whole; a str is written as one chunk.
+    whole.
 
     Under ``PYTHONUNBUFFERED`` stdout's binary layer is a raw ``FileIO``
     whose write may take fewer bytes than offered (a pipe whose reader
@@ -245,8 +245,6 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
     Looping on the count makes a cut-short write retry and surface as
     ``BrokenPipeError`` rather than a silently truncated exit 0.
     """
-    if isinstance(chunks, str):
-        chunks = (chunks,)
     if out is not None:
         # newline="" keeps the \n line-end contract on every platform
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -278,10 +276,12 @@ def cmd_spectrum(cfg: dict) -> tuple[Iterable[str], int]:
     s = model.analytic_spectrum(mult, cfg["e_gap"])
     crit = model.critical_couplings(mult, cfg["e_gap"])
     lams = [float(x) for x in cfg.get("lambda", ())]
-    # one row per level: m, intercept, slope, then its energy at each coupling
+    # one row per level: m, intercept, slope, then its energy at each coupling (a list in JSON)
+    names = ["m", "intercept", "slope"] + ["energy_at_" + format(x, ".17g") for x in lams]
     columns = [s.m_values, s.intercepts, s.slopes] + [s.energies(x) for x in lams]
-    row = dict.fromkeys(["m", "intercept", "slope"], _cells.SLOT)
-    levels = _cells.Table(columns, {**row, "energies": [_cells.SLOT] * len(lams)})
+    slot = _cells.SLOT
+    row = {"m": slot, "intercept": slot, "slope": slot, "energies": [slot] * len(lams)}
+    levels = _cells.Table(names, columns, row)
 
     if cfg["format"] == "json":
         payload = {
@@ -289,15 +289,14 @@ def cmd_spectrum(cfg: dict) -> tuple[Iterable[str], int]:
             "e_gap": cfg["e_gap"],
             "lambda": lams,
             "levels": levels,
-            "critical_couplings": _cells.Table([crit], _cells.SLOT),
+            "critical_couplings": _cells.Table(["critical_couplings"], [crit], slot),
         }
         return _cells.json_text(payload), _EXIT_OK
 
-    header = ",".join([*row] + ["energy_at_" + c for c in transitions.csv_cells(lams)]) + "\n"
     # the crossings' comment line streams too: a label, then crit rendered as one row
     label = "# critical_couplings," if crit.size else "# critical_couplings"
     comment = _cells.csv_lines(crit[None, :])
-    return itertools.chain([header], _cells.csv_lines(levels), [label], comment), _EXIT_OK
+    return itertools.chain(_cells.csv_text(names, levels), [label], comment), _EXIT_OK
 
 
 def cmd_sweep(cfg: dict) -> tuple[Iterable[str], int]:
@@ -308,8 +307,7 @@ def cmd_sweep(cfg: dict) -> tuple[Iterable[str], int]:
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     table = transitions.phase_diagram(s, cfg["beta"], cfg["lambda_grid"])
     if cfg["format"] == "json":
-        row = dict.fromkeys(table.COLUMNS, _cells.SLOT)
-        return _cells.json_text(_cells.Table(table.values.T, row)), _EXIT_OK
+        return _cells.json_text(_cells.Table(table.COLUMNS, table.values.T)), _EXIT_OK
     return table.csv_text(), _EXIT_OK
 
 
@@ -320,11 +318,10 @@ def cmd_zero_t(cfg: dict) -> tuple[Iterable[str], int]:
     s = model.analytic_spectrum(Multiplet(cfg["n"]), cfg["e_gap"])
     e0, slope, degeneracy = model.ground_level(s, grid)
     # the degeneracies stay integers in JSON
-    row = dict.fromkeys(_ZERO_T_COLUMNS, _cells.SLOT)
-    table = _cells.Table([grid, slope, e0, degeneracy], row)
+    table = _cells.Table(_ZERO_T_COLUMNS, [grid, slope, e0, degeneracy])
     if cfg["format"] == "json":
         return _cells.json_text(table), _EXIT_OK
-    return itertools.chain([",".join(_ZERO_T_COLUMNS) + "\n"], _cells.csv_lines(table)), _EXIT_OK
+    return _cells.csv_text(_ZERO_T_COLUMNS, table), _EXIT_OK
 
 
 def _window(cfg: dict, default_window) -> tuple:
@@ -349,7 +346,7 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
     return {
         "beta_schedule": schedule,
         "window": list(window),
-        "tracked": _cells.Table(tracked.T, dict.fromkeys(transitions.TRACKED_COLUMNS, _cells.SLOT)),
+        "tracked": _cells.Table(transitions.TRACKED_COLUMNS, tracked.T),
         "warnings": list(warnings),
         "max_offset_at_beta_max": final_offsets.max().item() if final_offsets.size else None,
     }
@@ -361,11 +358,11 @@ def _jumps_block(cfg: dict, s, crit) -> dict:
     _, distances, _ = transitions.nearest_crossing(crit, jumps[:, _LAMBDA])
     # the staircase at the window's left end (a window without a jump is one
     # plateau), then right of every jump
-    first = model.ground_level(s, window[0])[1].item()
+    plateaus = np.append(model.ground_level(s, window[0])[1], jumps[:, _RIGHT_VALUE])
     return {
         "window": list(window),
-        "jumps": _cells.Table(jumps.T, dict.fromkeys(transitions.JUMP_COLUMNS, _cells.SLOT)),
-        "plateaus": _cells.Table([np.append(first, jumps[:, _RIGHT_VALUE])], _cells.SLOT),
+        "jumps": _cells.Table(transitions.JUMP_COLUMNS, jumps.T),
+        "plateaus": _cells.Table(["plateaus"], [plateaus], _cells.SLOT),
         "max_distance_to_analytic": distances.max().item() if distances.size else None,
     }
 
@@ -410,8 +407,8 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
         "e_gap": e_gap,
         # crossing n pairs levels n-1 and n of m_values
         "analytic": _cells.Table(
+            ("n", "lambda_c", "lower_m", "upper_m"),
             [np.arange(1, crit.size + 1), crit, ms[:-1], ms[1:]],
-            dict.fromkeys(("n", "lambda_c", "lower_m", "upper_m"), _cells.SLOT),
         ),
     }
     exit_code = _EXIT_OK
@@ -439,11 +436,11 @@ def cmd_validate(cfg: dict) -> tuple[Iterable[str], int]:
     results = validation.run_all()
     width = max(len(r.name) for r in results)
     lines = [
-        f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}\n" for r in results
     ]
     n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    return "\n".join(lines) + "\n", _EXIT_OK if n_fail == 0 else _EXIT_USAGE
+    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed\n")
+    return lines, _EXIT_OK if n_fail == 0 else _EXIT_USAGE
 
 
 _DISPATCH = {

@@ -156,9 +156,9 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> np.ndarray:
     empty.
     """
     _check_e_gap(e_gap)
-    n_p = m.n_particles
-    # a float over exact integers: each coupling has the bits of the scalar division
-    couplings = e_gap / (n_p - (2 * np.arange(1, n_p // 2 + 1) - 1))
+    # N - (2n-1) as exact floats, divided in place: each has the scalar division's bits
+    couplings = np.arange(m.n_particles - 1, 0, -2, dtype=float)
+    np.divide(e_gap, couplings, out=couplings)
     couplings.setflags(write=False)
     return couplings
 

@@ -10,7 +10,6 @@ peek at the closed-form answer while searching.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -27,8 +26,6 @@ __all__ = [
     "JUMP_COLUMNS",
     "CeqSearchResult",
     "SweepTable",
-    "csv_cells",
-    "csv_text",
     "MIN_SCHEDULE",
     "find_peaks",
     "nearest_crossing",
@@ -384,25 +381,6 @@ def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
     return refined(float(grid[i - 1]), float(grid[i + 1]))
 
 
-def csv_cells(values) -> list[str]:
-    """Each value of an array as its CSV cell, format(x, '.17g'), in flat order."""
-    flat = np.asarray(values, dtype=float).ravel()
-    return "".join(_cells.csv_lines(flat[None, :]))[:-1].split(",") if flat.size else []
-
-
-def csv_text(columns, values) -> Iterator[str]:
-    """CSV of a 2-D array: a header line of ``columns``, then one line per row at 17 digits.
-
-    Each cell is format(x, '.17g'), so it reads back as the float it came from.
-    The text comes as chunks, the header first, each rendered only when it is
-    asked for; ``"".join`` them for one string.  The shape is checked at once.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(columns):
-        raise ValueError(f"values must have shape (rows, {len(columns)})")
-    return itertools.chain([",".join(columns) + "\n"], _cells.csv_lines(values))
-
-
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """Thermal observables on a (beta, lam) grid as one read-only array.
@@ -423,7 +401,7 @@ class SweepTable:
         object.__setattr__(self, "values", values)
 
     def csv_text(self) -> Iterator[str]:
-        return csv_text(self.COLUMNS, self.values)
+        return _cells.csv_text(self.COLUMNS, self.values)
 
 
 def phase_diagram(s: Spectrum, beta_grid, lambda_grid) -> SweepTable:

@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import su2qpt.thermo as thermo_module
-from su2qpt import _cells, cli, transitions, validation
+from su2qpt import _cells, cli, validation
 from su2qpt.eigensolver import jacobi_eigenvalues
 from su2qpt.model import analytic_spectrum, ground_level
 from su2qpt.spin_algebra import Multiplet
@@ -497,14 +497,14 @@ class _ShortRaw(io.RawIOBase):
 def _many_chunks():
     """A CSV of several chunks, as an iterator of them."""
     values = np.arange(3 * _cells._CHUNK_CELLS, dtype=float).reshape(-1, 3) * 0.1
-    return transitions.csv_text(["a", "b", "c"], values)
+    return _cells.csv_text(["a", "b", "c"], values)
 
 
 class TestEmit:
     def test_short_writes_deliver_every_byte_in_order(self, monkeypatch):
-        # one string, then many chunks: a short write can straddle a chunk's end
+        # one chunk, then many: a short write can straddle a chunk's end
         for output in (
-            lambda: "".join(f"{i},{i * 0.1!r}\n" for i in range(5000)),
+            lambda: ["".join(f"{i},{i * 0.1!r}\n" for i in range(5000))],
             _many_chunks,
         ):
             raw = _ShortRaw([1, 7, 4093, 2])
@@ -519,7 +519,7 @@ class TestEmit:
         raw = _ShortRaw([None])
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
         with pytest.raises(BlockingIOError):
-            cli._emit("beta,lambda\n", None)
+            cli._emit(["beta,lambda\n"], None)
         assert raw.calls == 1
 
     def test_text_only_stdout_still_receives_output(self, monkeypatch):
@@ -539,7 +539,7 @@ class TestEmit:
         assert cli.main(["zero-t", "--n", "2", "--lambda-grid", f"0:2:{grid.size}"]) == 0
         e0, slope, degeneracy = ground_level(analytic_spectrum(Multiplet(2)), grid)
         table = np.column_stack([grid, slope, e0, degeneracy])
-        assert sink.getvalue() == "".join(transitions.csv_text(cli._ZERO_T_COLUMNS, table))
+        assert sink.getvalue() == "".join(_cells.csv_text(cli._ZERO_T_COLUMNS, table))
 
 
 def _mixed_chunk() -> np.ndarray:
@@ -580,13 +580,13 @@ class TestTableRendering:
         names = ("lambda", "energy", "degeneracy")
         columns = [np.array(c, dtype=float) for c in list(zip(*rows))[:2] or ([], [])]
         columns.append(np.array([r[2] for r in rows], dtype=np.intp))
-        row = dict.fromkeys(names, _cells.SLOT)
         records = [dict(zip(names, r)) for r in rows]
-        nested = {"n": 2, "inner": {"rows": _cells.Table(columns, row)}}
-        nested["values"] = _cells.Table(columns[:1], _cells.SLOT)
-        listed = _cells.Table(columns, {"lambda": _cells.SLOT, "rest": [_cells.SLOT] * 2})
+        nested = {"n": 2, "inner": {"rows": _cells.Table(names, columns)}}
+        nested["values"] = _cells.Table(names[:1], columns[:1], _cells.SLOT)
+        row = {"lambda": _cells.SLOT, "rest": [_cells.SLOT] * 2}
+        listed = _cells.Table(names, columns, row)
         docs = [
-            (_cells.Table(columns, row), records),
+            (_cells.Table(names, columns), records),
             (nested, {"n": 2, "inner": {"rows": records}, "values": [r[0] for r in rows]}),
             (listed, [{"lambda": a, "rest": [b, c]} for a, b, c in rows]),
         ]

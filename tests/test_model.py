@@ -212,6 +212,29 @@ def test_odd_n_stops_at_half_the_gap(n):
     assert crit[-1] == 0.37 / 2
 
 
+@pytest.mark.parametrize("e_gap", [1.0, 0.37, 1e-300, 1e300])
+def test_critical_couplings_are_the_scalar_divisions_at_any_gap(e_gap):
+    # every crossing, at gaps near both ends of the float range
+    for n in (1, 2, 3, 4, 5, 8, 33, 129, 300_000):
+        want = [e_gap / (n - (2 * i - 1)) for i in range(1, n // 2 + 1)]
+        assert critical_couplings(Multiplet(n), e_gap).tolist() == want
+
+
+def test_critical_couplings_hold_little_past_their_result():
+    # the denominators are the result's own float array, divided in place;
+    # built over an int64 arange, their temporaries took another 1.27 MB
+    m = Multiplet(300_000)
+    critical_couplings(m, 0.37)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        crit = critical_couplings(m, 0.37)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= crit.nbytes + 4096
+
+
 @given(
     st.floats(min_value=0.0, max_value=6.0).map(lambda x: int(10.0**x)),
     st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2qpt import thermo, transitions
+from su2qpt import _cells, thermo, transitions
 from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
@@ -34,6 +34,13 @@ CRIT4 = critical_couplings(Multiplet(4))
 # is 2u/(beta*|slope gap|)
 TWO_U_STAR = 2.3993572805154716
 
+# C = beta**2 Var(E) as the engine rounds it is within EPS_C of itself
+# (about 450 ulp), and on the axis u = ln(beta) a two-level C near its
+# maximum is C_max * (1 - KAPPA * (u - u*)**2 / 2) with KAPPA = TWO_U_STAR**2 / 2
+EPS_C = 1e-13
+KAPPA = TWO_U_STAR**2 / 2
+SPECIFIC_HEAT = thermo.COLUMNS.index("specific_heat")
+
 # the columns of the route tables
 BETA = PEAK_COLUMNS.index("beta")
 LAM = PEAK_COLUMNS.index("lambda_at_peak")
@@ -45,6 +52,43 @@ JUMP = JUMP_COLUMNS.index("lambda")
 LEFT = JUMP_COLUMNS.index("left_value")
 RIGHT = JUMP_COLUMNS.index("right_value")
 MID = JUMP_COLUMNS.index("midpoint_value")
+
+
+@pytest.mark.parametrize("n, delta", [(2, 1e-4), (4, 1e-4), (8, 1e-5), (16, 1e-5), (64, 1e-6)])
+def test_specific_heat_peaks_in_beta_at_the_twin_peak_constant(n, delta):
+    # at lam = lam_c + delta the two levels crossing at the first crossing
+    # are ds * delta apart, ds their slope gap, and C peaks over beta where
+    # x = beta * ds * delta solves x tanh(x/2) = 2: the constant of the twin
+    # peaks' offset in lambda.  The law holds while delta is small against
+    # the distance to the next crossing, where a third level comes down
+    s = analytic_spectrum(Multiplet(n))
+    lam = critical_couplings(Multiplet(n))[0] + delta
+    ds = abs(s.slopes[1] - s.slopes[0]).item()
+    energies = np.sort(s.energies(lam))
+    third = (energies[2] - energies[0]).item()  # the third level's excitation
+
+    def minus_c(u: np.ndarray) -> np.ndarray:
+        return -thermo.observables_grid(s, np.exp(u), np.full(u.shape, lam))[:, SPECIFIC_HEAT]
+
+    # within a decade of the law's beta: a wider bracket finds the
+    # high-temperature peak of the whole spectrum instead
+    u_law, xtol = math.log(TWO_U_STAR / (ds * delta)), 1e-7
+    (u,) = _golden_min(minus_c, [u_law - math.log(10)], [u_law + math.log(10)], xtol)
+    beta = math.exp(u)
+    # the third level, of weight w against the ground level, adds about
+    # w * (beta * third)**2 to C / C_max, which moves the maximum in u by
+    # at most w * (beta * third)**3 / (C_max * KAPPA) with C_max * KAPPA > 1
+    pull = math.exp(-beta * third) * (beta * third) ** 3
+    assert pull <= xtol, "delta is not small against the gap to the next crossing"
+    # lam and the energies round: the gap is ds * delta to within gap_error
+    gap_error = (ds * math.ulp(lam) + 4 * math.ulp(np.abs(energies).max().item())) / (ds * delta)
+    tol = (
+        xtol  # the bracket the search stops at
+        + math.sqrt(4 * EPS_C / KAPPA)  # the flat top, where rounding orders C at random
+        + gap_error
+        + pull
+    )
+    assert abs(math.log(beta * ds * delta / TWO_U_STAR)) <= tol
 
 
 class TestFindPeaks:
@@ -764,10 +808,16 @@ class TestPhaseDiagram:
             assert rebuilt == line
 
 
+def _csv_cells(values) -> list[str]:
+    """Each value of an array as its CSV cell from ``_cells``, in flat order."""
+    flat = np.asarray(values, dtype=float).ravel()
+    return "".join(_cells.csv_lines(flat[None, :]))[:-1].split(",")
+
+
 def _misformatted(values) -> list:
     """The first few (x, its cell, format(x, '.17g')) that differ; a short failure report."""
     values = np.asarray(values, dtype=float).ravel().tolist()
-    cells = transitions.csv_cells(values)
+    cells = _csv_cells(values)
     assert len(cells) == len(values)
     return [(x, c, format(x, ".17g")) for x, c in zip(values, cells) if c != format(x, ".17g")][:5]
 
@@ -807,7 +857,7 @@ class TestCsvCells:
     @example(1.0000090481717197)  # 2**-36 past a tie, inside the tie margin
     @example(-123456789012345678.0)
     def test_a_cell_is_format_17g(self, x):
-        assert transitions.csv_cells([x]) == [format(x, ".17g")]
+        assert _csv_cells([x]) == [format(x, ".17g")]
 
     def test_every_power_of_two_and_ten_is_format_17g(self):
         powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
@@ -823,8 +873,8 @@ class TestCsvCells:
         values = rng.integers(0, 2**64, size=(3000, 7), dtype=np.uint64).view(float)
         values[::5] = rng.normal(size=(600, 7))
         columns = [f"c{j}" for j in range(7)]
-        lines = "".join(transitions.csv_text(columns, values)).split("\n")
-        rows = ["".join(transitions.csv_text(columns, row[None, :])) for row in values]
+        lines = "".join(_cells.csv_text(columns, values)).split("\n")
+        rows = ["".join(_cells.csv_text(columns, row[None, :])) for row in values]
         rows = [text.split("\n")[1] for text in rows]
         assert len(lines) == len(rows) + 2
         assert lines[0] == ",".join(columns) and lines[-1] == ""
@@ -836,9 +886,9 @@ class TestCsvCells:
     )
     def test_rejects_values_not_of_one_column_per_name(self, columns, shape):
         with pytest.raises(ValueError):
-            transitions.csv_text(columns, np.zeros(shape))
+            _cells.csv_text(columns, np.zeros(shape))
 
     def test_tables_without_rows_or_columns(self):
-        assert "".join(transitions.csv_text(["a", "b", "c"], np.zeros((0, 3)))) == "a,b,c\n"
-        assert "".join(transitions.csv_text([], np.zeros((2, 0)))) == "\n\n\n"
-        assert transitions.csv_cells([]) == []
+        assert "".join(_cells.csv_text(["a", "b", "c"], np.zeros((0, 3)))) == "a,b,c\n"
+        assert "".join(_cells.csv_text([], np.zeros((2, 0)))) == "\n\n\n"
+        assert "".join(_cells.csv_lines(np.zeros((1, 0)))) == "\n"
