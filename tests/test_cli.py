@@ -17,8 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import su2qpt.thermo as thermo_module
-from su2qpt import _cells, cli, validation
-from su2qpt.eigensolver import jacobi_eigenvalues
+from su2qpt import _cells, cli, eigensolver, validation
 from su2qpt.model import analytic_spectrum, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
@@ -976,7 +975,7 @@ class TestValidate:
 
     def test_eigensolver_non_convergence_exits_two(self, monkeypatch, capsys):
         # no sweep allowed: the oracle raises on its first matrix
-        monkeypatch.setattr(validation, "jacobi_eigenvalues", lambda a: jacobi_eigenvalues(a, 0))
+        monkeypatch.setattr(eigensolver, "_MAX_SWEEPS", 0)
         rc, out, err = run(["validate"], capsys)
         assert (rc, out) == (2, "")
         assert err.startswith("su2qpt: numerical non-convergence: ")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from su2qpt import eigensolver
 from su2qpt.eigensolver import NonConvergenceError, jacobi_eigenvalues
 from su2qpt.model import analytic_spectrum
 from su2qpt.spin_algebra import Multiplet
@@ -78,10 +79,49 @@ def test_rejects_non_square():
         jacobi_eigenvalues(np.zeros((2, 3)))
 
 
-def test_nonconvergence_carries_partial_result():
+@pytest.mark.parametrize("n,sweeps", [(4, [5, 5, 5, 4, 4, 5]), (8, [6, 6, 6, 6, 4, 5])])
+def test_sweep_counts_of_the_acceptance_matrices(n, sweeps):
+    # criterion 2's matrices, at its six couplings: the README's "4 to 6
+    # sweeps", and a solver that rotated the same pairs in another order
+    # or tested convergence at another point would count differently
+    lams = (0.0, 0.1, 1 / 3, 0.5, 1.0, 1.7)
+    got = [jacobi_eigenvalues(_x_axis_hamiltonian(Multiplet(n), lam)).sweeps_used for lam in lams]
+    assert got == sweeps
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _x_axis_hamiltonian(Multiplet(4), 0.5),
+        # asymmetric within the 1e-12 the solver folds away
+        np.array([[2.0, 1.0, 0.0], [1.0 + 5e-13, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+    ],
+    ids=["float64", "near-symmetric"],
+)
+def test_leaves_the_callers_array_untouched(a):
+    # a float64 ndarray comes through np.asarray as the caller's own array
+    before = a.copy()
+    assert jacobi_eigenvalues(a).sweeps_used >= 1
+    assert np.array_equal(a, before)
+
+
+def test_nonconvergence_after_one_and_two_sweeps(monkeypatch):
+    a = _x_axis_hamiltonian(Multiplet(4), 0.5)  # takes 4 sweeps
+    partials = []
+    for budget in (1, 2):
+        monkeypatch.setattr(eigensolver, "_MAX_SWEEPS", budget)
+        with pytest.raises(NonConvergenceError, match=f"after {budget} sweeps$") as exc_info:
+            jacobi_eigenvalues(a)
+        partials.append(exc_info.value.partial)
+    assert [p.sweeps_used for p in partials] == [1, 2]
+    assert partials[0].off_norm > partials[1].off_norm > 0.0
+
+
+def test_nonconvergence_carries_partial_result(monkeypatch):
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    monkeypatch.setattr(eigensolver, "_MAX_SWEEPS", 0)
     with pytest.raises(NonConvergenceError) as exc_info:
-        jacobi_eigenvalues(a, max_sweeps=0)
+        jacobi_eigenvalues(a)
     partial = exc_info.value.partial
     assert partial.values.shape == (2,)
     assert partial.sweeps_used == 0

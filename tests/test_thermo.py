@@ -415,3 +415,95 @@ def test_small_entropy_matches_high_precision(lam):
     got = observables(S8, 110.0, lam).entropy
     assert math.isclose(got, want, rel_tol=1e-12), (got, want)
     assert observables_grid(S8, 110.0, [lam])[0, COLUMNS.index("entropy")] == got
+
+
+
+# unit roundoff of float64
+U = 2.0**-53
+
+
+def _c_star_lambda_with_error_bound(s, beta, lam):
+    """c*_lambda of the float spectrum at the float beta and lam, summed at
+    128 bits, and a bound on the engine's float64 error in it.
+
+    Each level energy c + s*lam is taken exactly, in the rationals of the
+    floats (c + s*lam needs about 92 bits at N = 10^6), so the rounding of lam
+    and of the spectrum is not charged to the engine.  The sum runs up
+    from the lowest M until beta*(E - E0) passes 800: the weights left
+    out are below exp(-800).
+    """
+    e = s.intercepts + s.slopes * lam
+    d = e - e[0]
+    levels = int(np.count_nonzero(beta * d <= 800.0))  # E rises with M here
+    slopes = s.slopes[:levels]
+    with mp.workprec(128):
+        b, lam_mp = mpf(beta), mpf(lam)
+        e0 = mpf(s.intercepts.item(0)) + mpf(s.slopes.item(0)) * lam_mp
+        s_mp = [mpf(sl) for sl in slopes.tolist()]
+        d_mp = [mpf(c) + sl * lam_mp - e0 for c, sl in zip(s.intercepts[:levels].tolist(), s_mp)]
+        w = [mp.exp(-b * x) for x in d_mp]
+        z = mp.fsum(w)
+        mean_d, mean_s = mp.fdot(w, d_mp) / z, mp.fdot(w, s_mp) / z
+        cov = mp.fdot(w, [x * y for x, y in zip(d_mp, s_mp)]) / z - mean_d * mean_s
+        want = float(mean_s - b * cov)
+
+    # The bound, to first order, evaluated in float64 from the float
+    # excitations: their error moves each weight by at most beta*eta
+    # (below 1e-7 here), so the factor 1 + 1e-6 covers it and the
+    # second-order terms.
+    d, e = d[:levels], e[:levels]
+    p = np.exp(-beta * d)
+    p /= p.sum()
+    ds, ss = d - p @ d, slopes - p @ slopes
+    cov = p @ (ds * ss)
+    # (1) Each excitation the engine forms, fl(fl(s*lam) + c) - e_min,
+    # is off by at most eta, in units of energy: the product, the sum and
+    # the difference round once each, and so does -beta*d; exp (4 ulp)
+    # and the division by the weight sum then put 9u of relative error on
+    # a weight, an exponent off by 9u/beta.  A common shift of every
+    # excitation moves nothing, so e_min's own error drops out.  To first
+    # order the engine is then off by sum_j eta_j*|dc*/dd_j|, with
+    # dc*/dd_j = beta*p_j*(-2*ss_j + beta*(ds_j*ss_j - cov)).  eta grows
+    # with the energies, up to e_gap*N, while the spread that matters is
+    # 1/beta: this term dominates at large beta*e_gap*N.
+    eta = U * (np.abs(slopes * lam) + np.abs(e) + 2 * d) + 9 * U / beta
+    per_level = eta @ (beta * p * np.abs(-2 * ss + beta * (ds * ss - cov)))
+    # (2) The reductions: each of the kernel's sums over at most N + 1
+    # levels is off by gamma = (N+1)*u/(1 - (N+1)*u) of the sum of its
+    # terms' magnitudes, and the weight sum's error scales every p alike;
+    # forming ss, ds, their product, beta*cov and the difference adds 5u
+    # of the same magnitudes.  The errors of <d> and <s> themselves cancel
+    # from the centred cov to first order.  Weights below 2^-1022, and
+    # those the window leaves out as exact zeros, are off by less than
+    # 1e-300 of the value.
+    n = s.slopes.size
+    gamma = n * U / (1 - n * U)
+    magnitudes = p @ np.abs(slopes) + beta * (p @ np.abs(ds * ss))
+    bound = (per_level + (2 * gamma + 5 * U) * magnitudes) * (1 + 1e-6)
+    return want, bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=math.log10(2.0), max_value=6.0).map(lambda x: round(10.0**x)),
+    st.floats(min_value=0.0, max_value=2.0).map(lambda x: 10.0**x),  # beta*e_gap
+    st.floats(min_value=-2.0, max_value=2.0).map(lambda x: 10.0**x),  # e_gap
+)
+@example(4095, 1.0, 1.0)  # 4096 levels, the most summed whole
+@example(4097, 37.0, 0.37)  # windowed
+@example(10**6, 1.0, 1.0)  # the widest sum, about 28,000 levels
+def test_c_star_lambda_at_g_one_is_the_half_gaussian_sum(n, beta_e_gap, e_gap):
+    # At the scaled coupling g = lam*N/e_gap = 1 the level k = M + J lies
+    # e_gap*k^2/N above the ground, with slope k^2 - 2kJ, so
+    # c*_lambda = <slope> - beta*cov(E, slope) is a sum over a discrete
+    # half-Gaussian in k.  Its leading term, -2*J^2/sqrt(pi*beta*e_gap*N),
+    # is what the zero-T limit L(1) = 0 leaves at finite beta: a thermal
+    # value at every N that the engine can be held to from outside.
+    # Dropping -beta*cov doubles that term or more.
+    s = analytic_spectrum(Multiplet(n), e_gap)
+    beta, lam = beta_e_gap / e_gap, e_gap / n
+    want, bound = _c_star_lambda_with_error_bound(s, beta, lam)
+    got = observables_grid(s, beta, [lam])[0, COLUMNS.index("c_star_lambda")]
+    assert abs(got - want) <= bound, (got, want, bound)
+    # the bound, a worst case, stays a small fraction of the value
+    assert bound <= 1e-4 * abs(want), (want, bound)
