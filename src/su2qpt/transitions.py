@@ -241,10 +241,13 @@ def nearest_crossing(crossings, lams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     sorted crossings, and its gap is the distance to the nearer of its own
     neighbours; the infinities stand in for a missing neighbour.  A tie
     goes to the lower crossing, also where rounding ties crossings
-    further down.  ``crossings`` must not be empty.
+    further down.  ``crossings`` must not be empty, and every coupling and
+    crossing must be finite (ValueError otherwise).
     """
     c = np.concatenate(([-math.inf], np.sort(crossings), [math.inf]))
     lam = np.asarray(lams, dtype=float)
+    if not (np.isfinite(c[1:-1]).all() and np.isfinite(lam).all()):
+        raise ValueError("couplings and crossings must be finite")
     k = np.searchsorted(c, lam)
     j = np.where(c[k] - lam < lam - c[k - 1], k, k - 1)
     while (tied := lam - c[j - 1] == lam - c[j]).any():

@@ -75,14 +75,6 @@ def _check(name: str, budget: float):
     return harness
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _rel_ok(got: float, want: float, rtol: float) -> bool:
-    return abs(got - want) <= rtol * max(abs(got), abs(want), 1e-300)
-
-
 _CROSSINGS = {2: [1.0], 4: [1 / 3, 1.0], 8: [1 / 7, 1 / 5, 1 / 3, 1.0]}
 
 
@@ -137,8 +129,8 @@ def check_eigenvalue_lists():
         for lam in lams:
             jac = jacobi_eigenvalues(_x_axis_hamiltonian(mult, lam)).values
             ana = np.sort(s.energies(lam))
-            worst = max(worst, float(np.abs(jac - ana).max()))
-    return worst <= 1e-10, f"pairs exact, max |jacobi - analytic| = {worst:.2e}"
+            worst = np.maximum(worst, np.abs(jac - ana).max())
+    return bool(worst <= 1e-10), f"pairs exact, max |jacobi - analytic| = {worst:.2e}"
 
 
 @_check("N=2 exact transition", budget=1.0)
@@ -174,8 +166,8 @@ def check_zero_t_staircase():
             return False, f"{len(jumps)} jumps found at N={n}, {len(lams_c)} expected"
         # the expected rows, in the order of transitions.JUMP_COLUMNS
         want = np.column_stack([lams_c, plateaus[:-1], plateaus[1:], midpoints])
-        worst = max(worst, np.abs(jumps - want).max().item())
-    return worst <= tol, f"max deviation {worst:.2e} (tol {tol:g})"
+        worst = np.maximum(worst, np.abs(jumps - want).max())
+    return bool(worst <= tol), f"max deviation {worst:.2e} (tol {tol:g})"
 
 
 _BETA = transitions.PEAK_COLUMNS.index("beta")
@@ -190,9 +182,9 @@ def check_remnant_peaks():
     s4 = model.analytic_spectrum(Multiplet(4))
     crit = [1 / 3, 1.0]
 
-    lams = transitions.find_peaks(s4, 110.0, (0.02, 1.4), 1000)[:, _LAMBDA_AT_PEAK].tolist()
-    nearest = [min(crit, key=lambda c: abs(lam - c)) for lam in lams]
-    far = [lam for lam, c in zip(lams, nearest) if abs(lam - c) >= 0.05]
+    lams = transitions.find_peaks(s4, 110.0, (0.02, 1.4), 1000)[:, _LAMBDA_AT_PEAK]
+    nearest = [min(crit, key=lambda c: abs(lam - c)) for lam in lams.tolist()]
+    far = lams[~(np.abs(lams - nearest) < 0.05)].tolist()
     assigned = set(nearest)
     ok_assign = assigned == set(crit) and not far
 
@@ -258,17 +250,19 @@ def check_thermo_properties():
                 for lam in (0.1, 0.4, 0.9, 1.2):
                     obs = thermo.observables(s, beta, lam)
                     p = obs.occupations
-                    if abs(float(p.sum()) - 1.0) > 1e-12 or p.min() < 0 or p.max() > 1:
+                    if not (abs(p.sum() - 1.0) <= 1e-12 and 0 <= p.min() and p.max() <= 1):
                         notes.append(f"occupations broken at n={n} beta={beta} lam={lam}")
                     obs_sh = thermo.observables(shifted, beta, lam)
-                    inv = (
-                        _close(obs_sh.log_z, obs.log_z - beta * shift, 1e-10)
-                        and _close(obs_sh.mean_energy - shift, obs.mean_energy, 1e-10)
-                        and _close(obs_sh.energy_variance, obs.energy_variance, 1e-10)
-                        and _close(obs_sh.c_star_lambda, obs.c_star_lambda, 1e-10)
-                        and _close(obs_sh.entropy, obs.entropy, 1e-10)
-                        and float(np.abs(obs_sh.occupations - p).max()) <= 1e-10
-                    )
+                    inv = all(
+                        math.isfinite(a) and math.isclose(a, b, rel_tol=1e-10, abs_tol=1e-10)
+                        for a, b in [
+                            (obs_sh.log_z, obs.log_z - beta * shift),
+                            (obs_sh.mean_energy - shift, obs.mean_energy),
+                            (obs_sh.energy_variance, obs.energy_variance),
+                            (obs_sh.c_star_lambda, obs.c_star_lambda),
+                            (obs_sh.entropy, obs.entropy),
+                        ]
+                    ) and np.abs(obs_sh.occupations - p).max() <= 1e-10
                     if not inv:
                         notes.append(f"shift invariance broken at n={n} beta={beta} lam={lam}")
                     h_b = 1e-5 * max(1.0, 1.0 / beta)
@@ -278,22 +272,18 @@ def check_thermo_properties():
                     fd_l = _decimal_central(
                         lambda x: _decimal_mean_energy(s, Decimal(beta), x), lam, 1e-6
                     )
-                    if not _rel_ok(obs.c_star_beta, fd_b, 1e-5):
-                        notes.append(f"c_star_beta FD mismatch at n={n} beta={beta} lam={lam}")
-                    if not _rel_ok(obs.c_star_lambda, fd_l, 1e-5):
-                        notes.append(f"c_star_lambda FD mismatch at n={n} beta={beta} lam={lam}")
-                    worst_fd = max(
-                        worst_fd,
-                        abs(obs.c_star_beta - fd_b) / max(abs(fd_b), 1e-300),
-                        abs(obs.c_star_lambda - fd_l) / max(abs(fd_l), 1e-300),
-                    )
+                    for field, fd in (("c_star_beta", fd_b), ("c_star_lambda", fd_l)):
+                        got = getattr(obs, field)
+                        if not math.isclose(got, fd, rel_tol=1e-5):
+                            notes.append(f"{field} FD mismatch at n={n} beta={beta} lam={lam}")
+                        worst_fd = max(worst_fd, abs(got - fd) / abs(fd))
                     sh_exact = obs.specific_heat == -(beta * beta) * obs.c_star_beta
                     if not (sh_exact and obs.specific_heat >= 0.0):
                         notes.append(f"specific heat identity broken at n={n} beta={beta} lam={lam}")
-            if abs(thermo.observables(s, 0.0, 0.7).entropy - math.log(n + 1)) > 1e-12:
+            if not abs(thermo.observables(s, 0.0, 0.7).entropy - math.log(n + 1)) <= 1e-12:
                 notes.append(f"entropy(beta=0) != ln(N+1) at n={n}")
             lam_c1 = model.critical_couplings(Multiplet(n))[0].item()
-            if abs(thermo.observables(s, 300.0, lam_c1).entropy - math.log(2.0)) > 1e-6:
+            if not abs(thermo.observables(s, 300.0, lam_c1).entropy - math.log(2.0)) <= 1e-6:
                 notes.append(f"entropy(beta=300, lambda_c) != ln 2 at n={n}")
     return not notes, "; ".join(notes[:3]) if notes else f"max FD mismatch {worst_fd:.2e} rel"
 

@@ -58,6 +58,18 @@ def test_criterion_2_names_the_n_whose_pairs_differ(monkeypatch):
     assert result.detail.startswith("(intercept, slope) pairs differ at N=4;")
 
 
+def test_criterion_2_fails_on_a_nan_oracle(monkeypatch):
+    solve = validation.jacobi_eigenvalues
+
+    def nan_values(a):
+        return dataclasses.replace(solve(a), values=np.full(len(a), math.nan))
+
+    monkeypatch.setattr(validation, "jacobi_eigenvalues", nan_values)
+    result = validation.check_eigenvalue_lists()
+    assert not result.passed
+    assert result.detail.startswith("pairs exact, max |jacobi - analytic| = nan;")
+
+
 def test_criterion_3_n2_exact_transition():
     _report(3, validation.check_n2_transition())
 
@@ -72,6 +84,21 @@ def test_criterion_4_counts_the_jumps_it_misses(monkeypatch):
     result = validation.check_zero_t_staircase()
     assert not result.passed
     assert result.detail.startswith("1 jumps found at N=4, 2 expected;")
+
+
+def test_criterion_4_fails_on_nan_midpoints(monkeypatch):
+    detect = transitions.detect_jumps
+    midpoint = transitions.JUMP_COLUMNS.index("midpoint_value")
+
+    def nan_midpoints(s, window):
+        jumps = detect(s, window).copy()
+        jumps[:, midpoint] = math.nan
+        return jumps
+
+    monkeypatch.setattr(transitions, "detect_jumps", nan_midpoints)
+    result = validation.check_zero_t_staircase()
+    assert not result.passed
+    assert result.detail.startswith("max deviation nan (tol 1e-09);")
 
 
 def test_criterion_5_remnant_peaks():
@@ -96,6 +123,25 @@ def test_criterion_5_names_a_peak_far_from_its_crossing(monkeypatch):
     assert result.detail.startswith(f"peak at lam={first!r} is 0.05 or more from its crossing;")
 
 
+def test_criterion_5_names_a_nan_peak(monkeypatch):
+    # one extra row, at a NaN coupling, in the scan at a single beta only
+    find_peaks = transitions.find_peaks
+    lam_at_peak = transitions.PEAK_COLUMNS.index("lambda_at_peak")
+
+    def with_nan_row(s, beta, *args):
+        peaks = find_peaks(s, beta, *args)
+        if np.ndim(beta):
+            return peaks
+        extra = peaks[-1:].copy()
+        extra[:, lam_at_peak] = math.nan
+        return np.vstack([peaks, extra])
+
+    monkeypatch.setattr(transitions, "find_peaks", with_nan_row)
+    result = validation.check_remnant_peaks()
+    assert not result.passed
+    assert result.detail.startswith("peak at lam=nan is 0.05 or more from its crossing;")
+
+
 def test_criterion_6_thermo_engine_properties():
     _report(6, validation.check_thermo_properties())
 
@@ -115,6 +161,23 @@ def test_criterion_6_catches_a_derivative_off_by_ten_tolerances(monkeypatch, fie
     assert result.detail.startswith(f"{field} FD mismatch at n=2 beta=0.5 lam=0.1;")
 
 
+def test_criterion_6_fails_on_a_one_sided_infinity(monkeypatch):
+    # c*_lambda infinite at every beta > 0 for the unshifted spectra only: N
+    # is even, so theirs are the ones with a zero intercept (M = 0)
+    observables = thermo.observables
+
+    def infinite(s, beta, lam):
+        obs = observables(s, beta, lam)
+        if beta > 0 and 0.0 in s.intercepts:
+            return dataclasses.replace(obs, c_star_lambda=math.inf)
+        return obs
+
+    monkeypatch.setattr(thermo, "observables", infinite)
+    result = validation.check_thermo_properties()
+    assert not result.passed
+    assert result.detail.startswith("shift invariance broken at n=2 beta=0.5 lam=0.1;")
+
+
 @pytest.mark.parametrize(
     "broken, note",
     [
@@ -128,8 +191,19 @@ def test_criterion_6_catches_a_derivative_off_by_ten_tolerances(monkeypatch, fie
             "shift invariance broken at n=2 beta=0.5 lam=0.1",
         ),
         (
+            # infinite on both sides of the shift, which math.isclose calls close
+            lambda beta, obs: dataclasses.replace(obs, log_z=math.inf if beta > 0 else obs.log_z),
+            "shift invariance broken at n=2 beta=0.5 lam=0.1",
+        ),
+        (
             # only the limits evaluate at beta = 0 and beta = 300
             lambda beta, obs: dataclasses.replace(obs, entropy=obs.entropy + 1e-6 * (beta == 0)),
+            "entropy(beta=0) != ln(N+1) at n=2",
+        ),
+        (
+            lambda beta, obs: dataclasses.replace(
+                obs, entropy=math.nan if beta == 0 else obs.entropy
+            ),
             "entropy(beta=0) != ln(N+1) at n=2",
         ),
         (
@@ -137,7 +211,14 @@ def test_criterion_6_catches_a_derivative_off_by_ten_tolerances(monkeypatch, fie
             "entropy(beta=300, lambda_c) != ln 2 at n=2",
         ),
     ],
-    ids=["occupations", "shift-invariance", "entropy-at-beta-0", "entropy-at-a-crossing"],
+    ids=[
+        "occupations",
+        "shift-invariance",
+        "infinite-log-z",
+        "entropy-at-beta-0",
+        "nan-entropy-at-beta-0",
+        "entropy-at-a-crossing",
+    ],
 )
 def test_criterion_6_names_the_property_it_breaks_first(monkeypatch, broken, note):
     observables = thermo.observables

@@ -387,6 +387,15 @@ class TestTrackPeaks:
         assert tracked.dtype == np.float64
         assert len(warnings) == 3 * warned
 
+    @pytest.mark.parametrize(
+        "crit, lams",
+        [([0.25, 0.5], [math.nan]), ([0.25, 0.5], [0.3, math.inf]), ([0.25, -math.inf], [0.3])],
+        ids=["nan-coupling", "infinite-coupling", "infinite-crossing"],
+    )
+    def test_nearest_crossing_rejects_non_finite_input(self, crit, lams):
+        with pytest.raises(ValueError, match="must be finite"):
+            transitions.nearest_crossing(crit, lams)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             track_peaks_to_zero_t(S4, (70.0, 90.0), (0.0, 1.4), crossings=CRIT4)
