@@ -39,8 +39,13 @@ _EXIT_NUMERIC = 2
 _METHODS = ("analytic", "peaks", "jumps", "ceq", "all")
 _CONFIG_KEYS = frozenset({"n", "e_gap", "beta", "lambda_grid", "lambda", "method", "format", "out"})
 _ZERO_T_COLUMNS = ("lambda", "c_star_lambda_zero_t", "ground_energy", "degeneracy")
-_BETA = transitions.TRACKED_COLUMNS.index("beta")
-_OFFSET = transitions.TRACKED_COLUMNS.index("offset")
+# the fewest betas the peak route follows a remnant across
+_MIN_SCHEDULE = 3
+# the peaks block's rows: each peak's find_peaks row, then its nearest
+# crossing and its distance from it
+_TRACKED_COLUMNS = transitions.PEAK_COLUMNS + ("nearest_critical", "offset")
+_BETA = transitions.PEAK_COLUMNS.index("beta")
+_LAMBDA_AT_PEAK = transitions.PEAK_COLUMNS.index("lambda_at_peak")
 _LAMBDA = transitions.JUMP_COLUMNS.index("lambda")
 _RIGHT_VALUE = transitions.JUMP_COLUMNS.index("right_value")
 
@@ -339,15 +344,27 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
     # the default window brackets every crossing with a 20% margin
     window = _window(cfg, (0.8 * crit[0].item(), 1.2 * crit[-1].item()))
     schedule = [float(b) for b in cfg.get("beta", (70.0, 90.0, 110.0))]
-    tracked, warnings = transitions.track_peaks_to_zero_t(
-        s, schedule, window, _grid_points(cfg, 1024), crossings=crit
-    )
-    final_offsets = tracked[tracked[:, _BETA] == max(schedule), _OFFSET]
+    if len(schedule) < _MIN_SCHEDULE:
+        raise ValueError(f"beta schedule needs at least {_MIN_SCHEDULE} values")
+    # the whole schedule in one lockstep search, then each peak beside the
+    # nearest crossing of the closed form
+    peaks = transitions.find_peaks(s, schedule, window, _grid_points(cfg, 1024))
+    near, offsets, gaps = transitions.nearest_crossing(crit, peaks[:, _LAMBDA_AT_PEAK])
+    tracked = np.column_stack((peaks, near, offsets))
+    tracked.setflags(write=False)  # read-only, as every route's table is
+    # further from its crossing than a quarter of the gap to the next one,
+    # a peak has merged with a neighbouring remnant at its beta
+    warnings = [
+        f"beta={b:g}: peak at lambda={lam:.6f} is not resolved "
+        f"(offset {offset:.4f} from nearest crossing {nearest:.6f})"
+        for b, lam, _height, _width, nearest, offset in tracked[offsets > 0.25 * gaps].tolist()
+    ]
+    final_offsets = offsets[peaks[:, _BETA] == max(schedule)]
     return {
         "beta_schedule": schedule,
         "window": list(window),
-        "tracked": _cells.Table(transitions.TRACKED_COLUMNS, tracked.T),
-        "warnings": list(warnings),
+        "tracked": _cells.Table(_TRACKED_COLUMNS, tracked.T),
+        "warnings": warnings,
         "max_offset_at_beta_max": final_offsets.max().item() if final_offsets.size else None,
     }
 
@@ -415,7 +432,7 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     # under all, a schedule too short to track leaves the peak route out, as
     # a window without the crossing or reaching below lambda = 0, or n != 2,
     # leaves ceq out
-    trackable = "beta" not in cfg or len(cfg["beta"]) >= transitions.MIN_SCHEDULE
+    trackable = "beta" not in cfg or len(cfg["beta"]) >= _MIN_SCHEDULE
     if crit.size and (method == "peaks" or (method == "all" and trackable)):
         report["peaks"] = _peaks_block(cfg, s, crit)
     if crit.size and method in ("jumps", "all"):
@@ -434,13 +451,16 @@ def cmd_validate(cfg: dict) -> tuple[Iterable[str], int]:
     from . import validation
 
     results = validation.run_all()
+    failed = [r for r in results if not r.passed]
+    # the table is the output; exit 1 names each failed check on stderr too
+    for r in failed:
+        print(f"su2qpt: validate: FAIL {r.name}: {r.detail}", file=sys.stderr)
     width = max(len(r.name) for r in results)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}\n" for r in results
     ]
-    n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed\n")
-    return lines, _EXIT_OK if n_fail == 0 else _EXIT_USAGE
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
+    return lines, _EXIT_USAGE if failed else _EXIT_OK
 
 
 _DISPATCH = {

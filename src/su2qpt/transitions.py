@@ -4,8 +4,9 @@ The same crossings are found from finite-temperature remnants (peak
 tracking in |d<E>/d(beta)|), from the zero-temperature staircase of the
 ground-state slope (jump detection), and, for the two-particle system,
 from the scaled zero-variance residual.  Agreement between the routes is
-the package's main correctness argument, so none of them is allowed to
-peek at the closed-form answer while searching.
+the package's main correctness argument, so none of them takes the
+closed-form answer; ``nearest_crossing`` pairs a route's couplings with
+it afterwards, for the comparison.
 """
 
 from __future__ import annotations
@@ -22,23 +23,17 @@ from .model import Spectrum
 
 __all__ = [
     "PEAK_COLUMNS",
-    "TRACKED_COLUMNS",
     "JUMP_COLUMNS",
     "CeqSearchResult",
     "SweepTable",
-    "MIN_SCHEDULE",
     "find_peaks",
     "nearest_crossing",
-    "track_peaks_to_zero_t",
     "detect_jumps",
     "qpt_from_ceq",
     "phase_diagram",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# The fewest betas ``track_peaks_to_zero_t`` follows a peak across.
-MIN_SCHEDULE = 3
 
 # Interior maxima of a peak scan below this share of its largest sample
 # are float noise on a flat tail (the variance there is ~1e-31 where the
@@ -50,14 +45,10 @@ _C_STAR_BETA = thermo.COLUMNS.index("c_star_beta")
 
 # The columns of the route tables: ``find_peaks`` gives a row of
 # PEAK_COLUMNS per peak (the width is the full width at half maximum, in
-# coupling units), ``track_peaks_to_zero_t`` adds the peak's nearest
-# crossing and its distance from it, and ``detect_jumps`` gives a row of
-# JUMP_COLUMNS per vertex of the zero-temperature slope staircase.
+# coupling units), and ``detect_jumps`` a row of JUMP_COLUMNS per vertex
+# of the zero-temperature slope staircase.
 PEAK_COLUMNS = ("beta", "lambda_at_peak", "height", "width")
-TRACKED_COLUMNS = PEAK_COLUMNS + ("nearest_critical", "offset")
 JUMP_COLUMNS = ("lambda", "left_value", "right_value", "midpoint_value")
-
-_LAMBDA_AT_PEAK = PEAK_COLUMNS.index("lambda_at_peak")
 
 
 def _table(*columns) -> np.ndarray:
@@ -254,48 +245,6 @@ def nearest_crossing(crossings, lams) -> tuple[np.ndarray, np.ndarray, np.ndarra
         j -= tied
     gaps = np.minimum(c[j] - c[j - 1], c[j + 1] - c[j])
     return c[j], np.abs(lam - c[j]), gaps
-
-
-def track_peaks_to_zero_t(
-    s: Spectrum,
-    beta_schedule,
-    lambda_range,
-    grid_points: int = 512,
-    *,
-    crossings,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Follow remnant peaks along an increasing beta schedule.
-
-    Each refined peak is assigned to the nearest of ``crossings``, the
-    couplings of the spectrum's analytic crossings
-    (``model.critical_couplings``), and its offset recorded; as beta grows
-    the offsets, heights and widths all shrink toward the zero-temperature
-    limit.  A peak sitting far from every crossing (more than a quarter of
-    the distance to the next one) means neighbouring remnants have merged
-    at that temperature; such peaks are still reported, with an explicit
-    warning, rather than silently reassigned.
-
-    Returns a read-only (peaks, 6) table of ``TRACKED_COLUMNS``, its rows
-    those of ``find_peaks``, and the warnings.
-    """
-    schedule = [float(b) for b in beta_schedule]
-    if len(schedule) < MIN_SCHEDULE:
-        raise ValueError(f"beta schedule needs at least {MIN_SCHEDULE} values")
-    if any(b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])):
-        raise ValueError("beta schedule must be strictly increasing")
-    if not np.size(crossings):
-        raise ValueError("no crossings to track; the model needs at least 2 particles")
-
-    # the whole schedule in one lockstep search
-    peaks = find_peaks(s, schedule, lambda_range, grid_points)
-    near, offsets, gaps = nearest_crossing(crossings, peaks[:, _LAMBDA_AT_PEAK])
-    tracked = _table(*peaks.T, near, offsets)
-    warnings = tuple(
-        f"beta={b:g}: peak at lambda={lam:.6f} is not resolved "
-        f"(offset {offset:.4f} from nearest crossing {nearest:.6f})"
-        for b, lam, _height, _width, nearest, offset in tracked[offsets > 0.25 * gaps].tolist()
-    )
-    return tracked, warnings
 
 
 def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:

@@ -21,7 +21,7 @@ from su2qpt import _cells, cli, eigensolver, validation
 from su2qpt.model import analytic_spectrum, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
-from su2qpt.transitions import JUMP_COLUMNS, TRACKED_COLUMNS
+from su2qpt.transitions import JUMP_COLUMNS
 
 
 def run(argv, capsys):
@@ -722,7 +722,8 @@ class TestCritical:
         doc = json.loads(out)
         tracked, jumps = doc["peaks"]["tracked"], doc["jumps"]["jumps"]
         assert len(tracked) == 24 and len(jumps) == 4
-        assert all(list(entry) == list(TRACKED_COLUMNS) for entry in tracked)
+        keys = ["beta", "lambda_at_peak", "height", "width", "nearest_critical", "offset"]
+        assert all(list(entry) == keys for entry in tracked)
         assert all(list(entry) == list(JUMP_COLUMNS) for entry in jumps)
         # the summaries are read off those columns
         final = [e["offset"] for e in tracked if e["beta"] == doc["peaks"]["beta_schedule"][-1]]
@@ -950,12 +951,35 @@ class TestConfigFile:
 
 class TestValidate:
     def test_suite_passes(self, capsys):
-        rc, out, _ = run(["validate"], capsys)
+        rc, out, err = run(["validate"], capsys)
         # the table names a failed check and its elapsed time against its budget
         assert rc == 0, out
         assert "PASS" in out
         assert "FAIL" not in out
         assert "8/8 checks passed" in out
+        assert err == ""
+
+    def test_each_failed_check_is_named_on_stderr(self, monkeypatch, capsys):
+        def failing(name, detail):
+            return lambda: validation.CheckResult(name, False, detail, 0.0)
+
+        monkeypatch.setattr(
+            validation,
+            "check_critical_couplings",
+            failing("critical couplings, analytic", "ok; 0.002 s (budget 0.001 s)"),
+        )
+        monkeypatch.setattr(
+            validation, "check_determinism", failing("sweep determinism", "bytes differ")
+        )
+        rc, out, err = run(["validate"], capsys)
+        assert rc == 1
+        # the table is as before: every check, then the count
+        assert out.count("\n") == 9 and out.count("FAIL  ") == 2
+        assert out.endswith("6/8 checks passed\n")
+        assert err == (
+            "su2qpt: validate: FAIL critical couplings, analytic: ok; 0.002 s (budget 0.001 s)\n"
+            "su2qpt: validate: FAIL sweep determinism: bytes differ\n"
+        )
 
     def test_runs_each_check_by_its_module_name(self, monkeypatch):
         # a tracer wraps the checks by module attribute, so run_all must

@@ -51,6 +51,14 @@ def test_matches_lapack_on_random_symmetric():
         assert np.abs(got - want).max() <= 1e-10 * scale
 
 
+def test_a_tiny_pair_against_a_large_gap_takes_the_huge_theta_rotation():
+    # pair (0, 1) has theta = (1 - 0) / (2 * 1e-160) = 5e159, past 1e150,
+    # where the tangent is 1 / (2 theta) instead of the hypot form
+    a = [[0.0, 1e-160, 1.0], [1e-160, 1.0, 0.0], [1.0, 0.0, 2.0]]
+    got = jacobi_eigenvalues(a).values
+    assert np.abs(got - np.linalg.eigvalsh(a)).max() <= 1e-12
+
+
 def test_invariants_trace_and_frobenius():
     rng = np.random.default_rng(7)
     raw = rng.standard_normal((9, 9))

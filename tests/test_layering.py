@@ -2,17 +2,19 @@
 and the CLI's output one write.
 
 ``model`` blocks, windows and ties levels; the package re-exports its modules' ``__all__``;
-a CLI flag's dest is its config key; the commands return their output and ``main`` writes it.
+no route takes the closed-form crossings; a CLI flag's dest is its config key; the commands
+return their output and ``main`` writes it.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import su2qpt
-from su2qpt import cli
+from su2qpt import cli, transitions
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "su2qpt"
 # how kernels block and window their sums, and when levels tie for ground
@@ -78,6 +80,18 @@ def test_every_public_name_a_module_defines_is_in_its_all(name):
             defined |= {t.id for t in targets if isinstance(t, ast.Name)}
     public = {d for d in defined if not d.startswith("_")}
     assert not public - set(importlib.import_module(f"su2qpt.{name}").__all__)
+
+
+def test_no_route_takes_the_closed_form_crossings():
+    # the routes search on their own; the one lookup that pairs their
+    # couplings with the closed form's crossings comes after, for the report
+    takers = [
+        name
+        for name in transitions.__all__
+        if callable(fn := getattr(transitions, name))
+        and "crossings" in inspect.signature(fn).parameters
+    ]
+    assert takers == ["nearest_crossing"]
 
 
 def test_each_option_has_one_name():

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2qpt import _cells, thermo, transitions
+from su2qpt import _cells, cli, thermo, transitions
 from su2qpt.model import Spectrum, analytic_spectrum, critical_couplings, ground_level
 from su2qpt.spin_algebra import Multiplet
 from su2qpt.thermo import observables
 from su2qpt.transitions import (
     JUMP_COLUMNS,
     PEAK_COLUMNS,
-    TRACKED_COLUMNS,
     SweepTable,
     _bisect,
     _golden_min,
@@ -22,7 +21,6 @@ from su2qpt.transitions import (
     find_peaks,
     phase_diagram,
     qpt_from_ceq,
-    track_peaks_to_zero_t,
 )
 
 S2 = analytic_spectrum(Multiplet(2))
@@ -46,8 +44,8 @@ BETA = PEAK_COLUMNS.index("beta")
 LAM = PEAK_COLUMNS.index("lambda_at_peak")
 HEIGHT = PEAK_COLUMNS.index("height")
 WIDTH = PEAK_COLUMNS.index("width")
-NEAREST = TRACKED_COLUMNS.index("nearest_critical")
-OFFSET = TRACKED_COLUMNS.index("offset")
+NEAREST = cli._TRACKED_COLUMNS.index("nearest_critical")
+OFFSET = cli._TRACKED_COLUMNS.index("offset")
 JUMP = JUMP_COLUMNS.index("lambda")
 LEFT = JUMP_COLUMNS.index("left_value")
 RIGHT = JUMP_COLUMNS.index("right_value")
@@ -331,30 +329,44 @@ def _one_search_per_peak(s, beta, window, grid_points):
     return deduped
 
 
+def _tracked(s, schedule, window, grid_points, crit):
+    """The critical report's peak tracking: its table of rows, and its warnings.
+
+    ``cli._peaks_block`` pairs the ``find_peaks`` rows with
+    ``nearest_crossing`` of the closed-form crossings; the window's ends
+    and grid size reach it as a ``--lambda-grid`` would.  The block's
+    columns are views of one (rows, 6) table, which is returned as it is.
+    """
+    cfg = {"beta": np.array(schedule), "lambda_grid": np.linspace(*window, grid_points)}
+    block = cli._peaks_block(cfg, s, np.asarray(crit, dtype=float))
+    columns = block["tracked"].columns
+    table = columns[0].base
+    assert all(c.base is table for c in columns)
+    return table, block["warnings"]
+
+
 class TestTrackPeaks:
     def test_resolved_tracking_has_no_warnings(self):
-        tracked, warnings = track_peaks_to_zero_t(
-            S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, crossings=CRIT4
-        )
-        assert warnings == ()
+        tracked, warnings = _tracked(S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, CRIT4)
+        assert warnings == []
         assert set(tracked[:, NEAREST].tolist()) == {1 / 3, 1.0}
         assert all(tracked[:, OFFSET] < 0.05)
 
     def test_offsets_shrink_with_beta(self):
-        tracked, _ = track_peaks_to_zero_t(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512, crossings=CRIT4)
+        tracked, _ = _tracked(S4, (70.0, 90.0, 110.0), (0.9, 1.1), 512, CRIT4)
         worst = {b: tracked[tracked[:, BETA] == b, OFFSET].max() for b in (70.0, 90.0, 110.0)}
         assert worst[70.0] > worst[90.0] > worst[110.0]
 
     def test_merged_remnants_are_flagged(self):
         # at beta ~ 10 the two crossings share one broad basin
-        _, warnings = track_peaks_to_zero_t(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512, crossings=CRIT4)
+        _, warnings = _tracked(S4, (8.0, 12.0, 16.0), (0.02, 1.4), 512, CRIT4)
         assert len(warnings) > 0
         assert "not" in warnings[0] and "resolved" in warnings[0]
 
     def test_inferred_gap_for_scaled_model(self):
         s = analytic_spectrum(Multiplet(4), e_gap=2.0)
         crit = critical_couplings(Multiplet(4), e_gap=2.0)
-        tracked, _ = track_peaks_to_zero_t(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, crossings=crit)
+        tracked, _ = _tracked(s, (70.0, 90.0, 110.0), (0.5, 2.4), 512, crit)
         assert len(tracked)
         assert set(tracked[:, NEAREST].tolist()) == {2 / 3, 2.0}
 
@@ -373,9 +385,7 @@ class TestTrackPeaks:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transitions, "find_peaks", peaks)
-            tracked, warnings = track_peaks_to_zero_t(
-                S4, (70.0, 90.0, 110.0), (0.0, 1.4), crossings=crit
-            )
+            tracked, warnings = _tracked(S4, (70.0, 90.0, 110.0), (0.0, 1.4), 512, crit)
         want, warned = [], 0
         for lam in lams:
             # the rule as two scans over every crossing, ascending
@@ -396,18 +406,19 @@ class TestTrackPeaks:
         with pytest.raises(ValueError, match="must be finite"):
             transitions.nearest_crossing(crit, lams)
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            track_peaks_to_zero_t(S4, (70.0, 90.0), (0.0, 1.4), crossings=CRIT4)
-        with pytest.raises(ValueError):
-            track_peaks_to_zero_t(S4, (70.0, 70.0, 90.0), (0.0, 1.4), crossings=CRIT4)
-        with pytest.raises(ValueError):
-            track_peaks_to_zero_t(
-                analytic_spectrum(Multiplet(1)),
-                (70.0, 90.0, 110.0),
-                (0.0, 1.4),
-                crossings=critical_couplings(Multiplet(1)),
-            )
+    def test_schedule_validation(self, capsys):
+        # a schedule too short to follow a peak across, one not strictly
+        # increasing, and a model without crossings each exit 1 with a reason
+        cases = [
+            (["--n", "4", "--beta", "70,90"], "beta schedule needs at least 3 values"),
+            (["--n", "4", "--beta", "70,70,90"], "must be strictly increasing"),
+            (["--n", "1"], "no crossings exist below 2 particles"),
+        ]
+        for argv, reason in cases:
+            assert cli.main(["critical", "--method", "peaks", *argv]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("su2qpt: error: ") and reason in err
 
 
 def _envelope_vertices(intercepts, slopes, lo, hi):
@@ -615,17 +626,13 @@ class TestRouteTables:
             (lambda: find_peaks(S4, [70.0, 110.0], (0.02, 1.4), 512), PEAK_COLUMNS, 8),
             (lambda: find_peaks(S4, 0.01, (0.02, 1.4), 512), PEAK_COLUMNS, 0),
             (
-                lambda: track_peaks_to_zero_t(
-                    S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, crossings=CRIT4
-                )[0],
-                TRACKED_COLUMNS,
+                lambda: _tracked(S4, (70.0, 90.0, 110.0), (0.02, 1.4), 512, CRIT4)[0],
+                cli._TRACKED_COLUMNS,
                 12,
             ),
             (
-                lambda: track_peaks_to_zero_t(
-                    S4, (0.01, 0.02, 0.03), (0.02, 1.4), 512, crossings=CRIT4
-                )[0],
-                TRACKED_COLUMNS,
+                lambda: _tracked(S4, (0.01, 0.02, 0.03), (0.02, 1.4), 512, CRIT4)[0],
+                cli._TRACKED_COLUMNS,
                 0,
             ),
             (lambda: detect_jumps(S8, (0.0, 1.4)), JUMP_COLUMNS, 4),
@@ -641,11 +648,15 @@ class TestRouteTables:
             table[...] = 0.0
 
     def test_tracked_rows_extend_the_peak_rows(self):
-        schedule = (70.0, 90.0, 110.0)
-        tracked, _ = track_peaks_to_zero_t(S4, schedule, (0.02, 1.4), 512, crossings=CRIT4)
-        peaks = find_peaks(S4, schedule, (0.02, 1.4), 512)
-        assert TRACKED_COLUMNS[: len(PEAK_COLUMNS)] == PEAK_COLUMNS
-        assert tracked[:, : len(PEAK_COLUMNS)].tolist() == peaks.tolist()
+        # the critical report's tracked rows are the find_peaks rows, then the
+        # nearest crossing and the offset from it; none when no peak is found
+        for schedule, rows in [((70.0, 90.0, 110.0), 12), ((0.01, 0.02, 0.03), 0)]:
+            tracked, _ = _tracked(S4, schedule, (0.02, 1.4), 512, CRIT4)
+            peaks = find_peaks(S4, schedule, (0.02, 1.4), 512)
+            assert cli._TRACKED_COLUMNS[: len(PEAK_COLUMNS)] == PEAK_COLUMNS
+            assert tracked.dtype == np.float64
+            assert tracked.shape == (rows, len(cli._TRACKED_COLUMNS))
+            assert tracked[:, : len(PEAK_COLUMNS)].tolist() == peaks.tolist()
 
 
 class TestRefinementTermination:
