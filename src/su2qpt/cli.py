@@ -283,7 +283,7 @@ def cmd_spectrum(cfg: dict) -> tuple[Iterable[str], int]:
     lams = [float(x) for x in cfg.get("lambda", ())]
     # one row per level: m, intercept, slope, then its energy at each coupling (a list in JSON)
     names = ["m", "intercept", "slope"] + ["energy_at_" + format(x, ".17g") for x in lams]
-    columns = [s.m_values, s.intercepts, s.slopes] + [s.energies(x) for x in lams]
+    columns = [mult.m_values(), s.intercepts, s.slopes] + [s.energies(x) for x in lams]
     slot = _cells.SLOT
     row = {"m": slot, "intercept": slot, "slope": slot, "energies": [slot] * len(lams)}
     levels = _cells.Table(names, columns, row)
@@ -418,11 +418,11 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     if method == "ceq" and misses_crossing:
         raise ValueError(f"the ceq window must contain lambda_c = e_gap = {e_gap:g} strictly")
 
-    ms = s.m_values[: crit.size + 1]
+    ms = np.arange(crit.size + 1.0) - mult.j
     report = {
         "n_particles": mult.n_particles,
         "e_gap": e_gap,
-        # crossing n pairs levels n-1 and n of m_values
+        # crossing n pairs levels n-1 and n, labelled as in mult.m_values()
         "analytic": _cells.Table(
             ("n", "lambda_c", "lower_m", "upper_m"),
             [np.arange(1, crit.size + 1), crit, ms[:-1], ms[1:]],

@@ -3,11 +3,11 @@
 The Hamiltonian is e_gap*J_z - lam*(J^2 - J_z^2 - N/2).  Both terms are
 diagonal in the working basis, so each eigenenergy is affine in the
 coupling: intercept e_gap*M, slope M^2 - J^2 (never positive), and a
-``Spectrum`` of those three arrays is the package's only form of the
-Hamiltonian; ``Spectrum.energies(lam)`` is its diagonal.  Adjacent
-levels cross at the couplings e_gap/(N - (2n-1)); at each of those the
-ground state switches branch, which is where the zero-temperature
-physics turns non-analytic.
+``Spectrum`` of those two arrays, in the basis order of the labels M
+that ``Multiplet`` holds, is the package's only form of the Hamiltonian;
+``Spectrum.energies(lam)`` is its diagonal.  Adjacent levels cross at
+e_gap/(N - (2n-1)); at each of those the ground state switches branch,
+which is where the zero-temperature physics turns non-analytic.
 """
 
 from __future__ import annotations
@@ -79,29 +79,26 @@ def _owned(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The full set of affine levels as three arrays, ordered by ascending M.
+    """The full set of affine levels as two arrays, in basis order.
 
-    Level i has J_z label ``m_values[i]`` and energy
-    ``intercepts[i] + slopes[i]*lam``.  The arrays are read-only float64
-    (``_owned``: a fresh read-only array is kept, anything else copied and
-    frozen), so a spectrum can be shared freely and repeated thermodynamic
-    evaluations stay cheap.
+    Level i has energy ``intercepts[i] + slopes[i]*lam`` (in
+    ``analytic_spectrum(m)``, J_z label ``m.m_values()[i]``).  The arrays
+    are read-only float64 (``_owned``: a fresh read-only array is kept,
+    anything else copied and frozen), so a spectrum can be shared freely
+    and repeated thermodynamic evaluations stay cheap.
     """
 
-    m_values: np.ndarray
     intercepts: np.ndarray
     slopes: np.ndarray
 
     def __post_init__(self):
-        arrays = [_owned(a) for a in (self.m_values, self.intercepts, self.slopes)]
-        if any(a.ndim != 1 for a in arrays):
-            raise ValueError("spectrum arrays must be one-dimensional")
-        if arrays[0].size == 0:
+        intercepts, slopes = _owned(self.intercepts), _owned(self.slopes)
+        if intercepts.ndim != 1 or intercepts.shape != slopes.shape:
+            raise ValueError("spectrum arrays must be one-dimensional and of equal length")
+        if intercepts.size == 0:
             raise ValueError("a spectrum needs at least one level")
-        if any(a.shape != arrays[0].shape for a in arrays):
-            raise ValueError("spectrum arrays must have equal length")
-        for name, a in zip(("m_values", "intercepts", "slopes"), arrays):
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "intercepts", intercepts)
+        object.__setattr__(self, "slopes", slopes)
 
     def energies(self, lam: float) -> np.ndarray:
         """All level energies at one coupling."""
@@ -136,14 +133,15 @@ def analytic_spectrum(m: Multiplet, e_gap: float = 1.0) -> Spectrum:
     slope a clean +0.0 instead of -0.0.
     """
     _check_e_gap(e_gap)
-    # three fresh arrays, no temporary, frozen so that the spectrum keeps them uncopied
-    ms = m.m_values()
-    intercepts = np.multiply(ms, e_gap)
-    slopes = np.multiply(ms, ms)
+    # two fresh arrays and no third: the slopes read the labels M, which then turn
+    # into the intercepts in place; frozen so that the spectrum keeps them uncopied
+    intercepts = m.m_values()
+    slopes = np.multiply(intercepts, intercepts)
     slopes -= m.j * m.j
-    for a in (ms, intercepts, slopes):
+    intercepts *= e_gap
+    for a in (intercepts, slopes):
         a.setflags(write=False)
-    return Spectrum(ms, intercepts, slopes)
+    return Spectrum(intercepts, slopes)
 
 
 def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> np.ndarray:
@@ -151,9 +149,9 @@ def critical_couplings(m: Multiplet, e_gap: float = 1.0) -> np.ndarray:
 
     Crossing n = 1 .. N // 2, the n whose denominator is positive, sits at
     lam = e_gap/(N - (2n-1)) and pairs levels n-1 and n of
-    ``analytic_spectrum(m, e_gap).m_values``, M = -J+n-1 and M = -J+n.
-    Below N = 2 there is no crossing at positive coupling and the array is
-    empty.
+    ``analytic_spectrum(m, e_gap)``, whose labels in ``m.m_values()`` are
+    M = -J+n-1 and M = -J+n.  Below N = 2 there is no crossing at positive
+    coupling and the array is empty.
     """
     _check_e_gap(e_gap)
     # N - (2n-1) as exact floats, divided in place: each has the scalar division's bits

@@ -245,7 +245,7 @@ def check_thermo_properties():
         ctx.prec = 50
         for n in (2, 4, 8):
             s = model.analytic_spectrum(Multiplet(n))
-            shifted = Spectrum(s.m_values, s.intercepts + shift, s.slopes)
+            shifted = Spectrum(s.intercepts + shift, s.slopes)
             for beta in (0.5, 5.0, 50.0):
                 for lam in (0.1, 0.4, 0.9, 1.2):
                     obs = thermo.observables(s, beta, lam)

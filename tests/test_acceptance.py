@@ -50,7 +50,7 @@ def test_criterion_2_names_the_n_whose_pairs_differ(monkeypatch):
 
     def shifted(m):
         s = spectrum(m)
-        return model.Spectrum(s.m_values, s.intercepts, s.slopes - 1.0)
+        return model.Spectrum(s.intercepts, s.slopes - 1.0)
 
     monkeypatch.setattr(model, "analytic_spectrum", shifted)
     result = validation.check_eigenvalue_lists()

@@ -685,6 +685,23 @@ class TestZeroT:
         assert (rc, out) == (1, "")
         assert err == "su2qpt: error: grid '-1.7e308:1.7e308:3' spans more than the float range\n"
 
+    def test_large_n_holds_two_level_arrays(self, capsys):
+        # the spectrum's intercepts and slopes and nothing else level-sized:
+        # the slack of 512 kB covers the convexity check's two 128 kB chunk
+        # differences and the run's small tables (about 0.3 MB in all); a
+        # third level array, such as the M labels, would add 2.4 MB
+        args = ["zero-t", "--n", "300000", "--lambda-grid", "0:1.2:100"]
+        assert cli.main(["zero-t", "--n", "8", "--lambda-grid", "0:1.2:100"]) == 0  # per-process tables
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.count("\n") == 101
+        assert peak <= 2 * 8 * Multiplet(300_000).dim + 512 * 1024
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,7 +26,7 @@ def pairs(s: Spectrum):
 def per_level_reference(m: Multiplet, e_gap: float):
     """The closed form evaluated one level at a time, in Python floats."""
     j_sq = m.j * m.j
-    ms = [float(mm) for mm in m.m_values()]
+    ms = [i - m.j for i in range(m.dim)]
     return ms, [e_gap * mm for mm in ms], [mm * mm - j_sq for mm in ms]
 
 
@@ -83,31 +84,33 @@ def test_arrays_match_per_level_loop_bitwise(n, e_gap):
     mult = Multiplet(n)
     s = analytic_spectrum(mult, e_gap)
     ms, intercepts, slopes = per_level_reference(mult, e_gap)
-    assert same_bits(s.m_values, ms)
+    assert same_bits(mult.m_values(), ms)
     assert same_bits(s.intercepts, intercepts)
     assert same_bits(s.slopes, slopes)
-    assert s.m_values.size == n + 1
+    assert s.intercepts.size == n + 1
 
 
 def test_spectrum_rejects_malformed_arrays():
     with pytest.raises(ValueError):
-        Spectrum([], [], [])
+        Spectrum([], [])
     with pytest.raises(ValueError):
-        Spectrum([-0.5, 0.5], [-1.0, 1.0], [0.0])
+        Spectrum([-1.0, 1.0], [0.0])
     with pytest.raises(ValueError):
-        Spectrum([[-0.5, 0.5]], [[-1.0, 1.0]], [[0.0, 0.0]])
+        Spectrum([[-1.0, 1.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError):
+        Spectrum([-1.0, 1.0], [[0.0, 0.0]])
 
 
 def test_spectrum_arrays_are_frozen_copies():
-    ms = np.array([-0.5, 0.5])
     intercepts = np.array([-1.0, 1.0])
     slopes = np.array([0.0, 0.0])
-    s = Spectrum(ms, intercepts, slopes)
-    for arr in (s.m_values, s.intercepts, s.slopes):
+    s = Spectrum(intercepts, slopes)
+    assert [f.name for f in dataclasses.fields(s)] == ["intercepts", "slopes"]
+    assert not hasattr(s, "m_values")
+    for arr in (s.intercepts, s.slopes):
         with pytest.raises(ValueError):
             arr[0] = 9.0
-    ms[0] = intercepts[0] = slopes[0] = 9.0
-    assert np.array_equal(s.m_values, [-0.5, 0.5])
+    intercepts[0] = slopes[0] = 9.0
     assert np.array_equal(s.intercepts, [-1.0, 1.0])
     assert np.array_equal(s.slopes, [0.0, 0.0])
 
@@ -115,13 +118,15 @@ def test_spectrum_arrays_are_frozen_copies():
     base = np.array([-1.0, 0.0, 1.0])
     view = base[:]
     view.setflags(write=False)
-    s = Spectrum(view, view, view)
+    s = Spectrum(view, view)
     base[0] = 9.0
-    assert np.array_equal(s.m_values, [-1.0, 0.0, 1.0])
+    assert np.array_equal(s.intercepts, [-1.0, 0.0, 1.0])
+    assert np.array_equal(s.slopes, [-1.0, 0.0, 1.0])
     # a fresh read-only array that owns its data is kept, not copied again
     fresh = np.array([-1.0, 0.0, 1.0])
     fresh.setflags(write=False)
-    assert Spectrum(fresh, fresh, fresh).slopes is fresh
+    s = Spectrum(fresh, fresh)
+    assert s.intercepts is fresh and s.slopes is fresh
 
     # the same holds for a sweep table
     values = np.zeros((2, len(SweepTable.COLUMNS)))
@@ -139,8 +144,8 @@ def test_spectrum_arrays_are_frozen_copies():
 
 
 def test_analytic_spectrum_holds_its_arrays_once():
-    # its three arrays plus at most one temporary; copying what it just
-    # built held six
+    # its two arrays plus 4 kB for the spectrum object itself: no
+    # temporary, and no third level array, of M labels or a copy, ever exists
     m = Multiplet(300_000)
     nbytes = 8 * m.dim
     tracemalloc.start()
@@ -150,12 +155,12 @@ def test_analytic_spectrum_holds_its_arrays_once():
     finally:
         tracemalloc.stop()
     assert s.slopes.nbytes == nbytes
-    assert peak <= 4 * nbytes
+    assert peak <= 2 * nbytes + 4096
 
 
 def test_spectrum_accessors():
     s = analytic_spectrum(Multiplet(4))
-    assert np.array_equal(s.m_values, [-2.0, -1.0, 0.0, 1.0, 2.0])
+    assert np.array_equal(Multiplet(4).m_values(), [-2.0, -1.0, 0.0, 1.0, 2.0])
     assert np.array_equal(s.intercepts, [-2.0, -1.0, 0.0, 1.0, 2.0])
     assert np.array_equal(s.slopes, [0.0, -3.0, -4.0, -3.0, 0.0])
     assert np.array_equal(s.energies(0.5), [-2.0, -2.5, -2.0, -0.5, 2.0])
@@ -176,10 +181,10 @@ def test_critical_couplings_exact():
 
 
 def test_critical_couplings_crossing_pairs():
-    # crossing n pairs levels n-1 and n of m_values
+    # crossing n pairs levels n-1 and n, labelled by the multiplet's m_values()
     crit = critical_couplings(Multiplet(8))
     s = analytic_spectrum(Multiplet(8))
-    ms = s.m_values.tolist()
+    ms = Multiplet(8).m_values().tolist()
     assert [(n, ms[n - 1], ms[n]) for n in range(1, crit.size + 1)] == [
         (1, -4.0, -3.0),
         (2, -3.0, -2.0),
@@ -264,7 +269,7 @@ def test_critical_couplings_are_the_ground_crossings(n, e_gap, seed):
     # crossing i pairs levels i-1 and i, M = -J + i - 1 and M = -J + i; both
     # are among the levels tied for ground there (a third may tie at large N)
     s = analytic_spectrum(mult, e_gap)
-    assert s.m_values[sample].tolist() == [-mult.j + i for i in sample]
+    assert mult.m_values()[sample].tolist() == [-mult.j + i for i in sample]
     tied = set()
     for points, _, point, level in model._ties(s, lams):
         tied.update(zip((point + points.start).tolist(), level.tolist()))
@@ -286,8 +291,9 @@ def ground_reference(s: Spectrum, lam: float):
 
 
 def named_levels(s: Spectrum, lam: float, ms: list[float]):
-    """Lowest energy, mean slope and count of the levels labelled by ms."""
-    idx = [s.m_values.tolist().index(m) for m in ms]
+    """Lowest energy, mean slope and count of the analytic levels labelled by ms."""
+    labels = Multiplet(s.slopes.size - 1).m_values().tolist()
+    idx = [labels.index(m) for m in ms]
     return min(s.energies(lam)[idx]), sum(s.slopes[idx].tolist()) / len(ms), len(ms)
 
 

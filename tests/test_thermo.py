@@ -149,7 +149,7 @@ def test_specific_heat_identity_bitwise():
 )
 def test_shift_invariance(n, beta, lam, shift):
     s = analytic_spectrum(Multiplet(n))
-    shifted = Spectrum(s.m_values, s.intercepts + shift, s.slopes)
+    shifted = Spectrum(s.intercepts + shift, s.slopes)
     a = observables(s, beta, lam)
     b = observables(shifted, beta, lam)
 

@@ -521,7 +521,7 @@ class TestDetectJumps:
 
     def test_triple_crossing_is_one_jump(self):
         # three levels meet at lam = 1; the walk steps straight to the steepest
-        s = Spectrum([0, 1, 2], [0, 1, 2], [0, -1, -2])
+        s = Spectrum([0, 1, 2], [0, -1, -2])
         jumps = detect_jumps(s, (0.0, 2.0))
         assert jumps.tolist() == [[1.0, 0.0, -2.0, -1.0]]
 
@@ -530,14 +530,14 @@ class TestDetectJumps:
         # 3 ulp right of where the middle one crosses the start level; a pop
         # compares both crossings with the start level, so the middle level
         # is popped rather than kept as a second jump
-        s = Spectrum([0, 1, 2], [-0.1, -0.4, -3 * 0.1], [0.6, -0.3, 0.0])
+        s = Spectrum([-0.1, -0.4, -3 * 0.1], [0.6, -0.3, 0.0])
         jumps = detect_jumps(s, (-1.25, 0.0))
         assert jumps.tolist() == [[-0.3333333333333334, 0.6, -0.3, 0.09999999999999999]]
 
     def test_descending_levels_window_starts_on_crossing(self):
         # at the window's left end the walk starts on the shallower of the
         # two tied levels, whatever the level order
-        s = Spectrum(S8.m_values[::-1], S8.intercepts[::-1], S8.slopes[::-1])
+        s = Spectrum(S8.intercepts[::-1], S8.slopes[::-1])
         jumps = detect_jumps(s, (1 / 3, 1.4))
         assert jumps[:, [LEFT, RIGHT]].tolist() == [[-13.5, -15.0], [-15.0, -16.0]]
         assert abs(jumps[0, JUMP] - 1 / 3) <= 1e-15
@@ -565,10 +565,10 @@ class TestDetectJumps:
         window = (0.0, 1.2 * critical_couplings(Multiplet(n), e_gap)[-1])
         plain = detect_jumps(s, window)
         order = np.random.default_rng(n).permutation(s.slopes.size)
-        permuted = Spectrum(s.m_values[order], s.intercepts[order], s.slopes[order])
+        permuted = Spectrum(s.intercepts[order], s.slopes[order])
         assert np.array_equal(detect_jumps(permuted, window), plain)
         lifted = s.intercepts + 0.37
-        shifted = detect_jumps(Spectrum(s.m_values, lifted, s.slopes), window)
+        shifted = detect_jumps(Spectrum(lifted, s.slopes), window)
         assert np.array_equal(shifted[:, LEFT:], plain[:, LEFT:])
         # the shift rounds each intercept by at most half an ulp of the
         # largest, so a vertex moves by that over its slope gap, plus its
@@ -611,7 +611,7 @@ class TestDetectJumps:
         # on a 1/64 lattice
         intercepts, slopes = ([k / 4 for k in col] for col in zip(*levels))
         lo, hi = lo64 / 64, (lo64 + width64) / 64
-        s = Spectrum(list(range(len(levels))), intercepts, slopes)
+        s = Spectrum(intercepts, slopes)
         got = [tuple(j) for j in detect_jumps(s, (lo, hi)).tolist()]
         assert got == _envelope_vertices(intercepts, slopes, lo, hi)
         # the CLI's first plateau is a 0-d call at lo; it must be this left value

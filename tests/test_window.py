@@ -109,7 +109,7 @@ def test_blocks_share_points_only_over_every_level(n_levels, rows):
 
 def permuted(s: Spectrum, seed: int) -> Spectrum:
     order = np.random.default_rng(seed).permutation(s.slopes.size)
-    return Spectrum(s.m_values[order], s.intercepts[order], s.slopes[order])
+    return Spectrum(s.intercepts[order], s.slopes[order])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -159,7 +159,7 @@ def test_shifted_spectra_of_the_acceptance_suite_are_convex():
     # the shift invariance check (criterion 6) moves every intercept by 0.37
     for n in (2, 4, 8, 5000):
         s = analytic_spectrum(Multiplet(n))
-        assert Spectrum(s.m_values, s.intercepts + 0.37, s.slopes)._convex
+        assert Spectrum(s.intercepts + 0.37, s.slopes)._convex
 
 
 @pytest.mark.parametrize("at", [1, 100, 16383, 16384, 16385, 16386, 32769, 39_999])
@@ -169,7 +169,7 @@ def test_convexity_check_finds_one_dent_in_any_chunk(at, field):
     arrays = {"intercepts": s.intercepts.copy(), "slopes": s.slopes.copy()}
     # lift one level above the line through its neighbours
     arrays[field][at] = 0.5 * (arrays[field][at - 1] + arrays[field][at + 1]) + 1e-3
-    assert not Spectrum(s.m_values, arrays["intercepts"], arrays["slopes"])._convex
+    assert not Spectrum(arrays["intercepts"], arrays["slopes"])._convex
 
 
 @pytest.fixture(scope="module")
