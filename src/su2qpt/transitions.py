@@ -145,7 +145,11 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> np.nd
     below ``_PEAK_FLOOR`` times that beta's largest sample are float
     noise and are skipped.  All of them, of every beta, are polished
     together by golden-section search, one bracket of two grid cells per
-    maximum, to a coupling resolution of 1e-8.  The width is the full
+    maximum, to a coupling resolution of 1e-8.  Maxima of one beta that
+    each refine within 2e-8 of the one before (a flat top sampled twice)
+    are one peak, the highest, the first of equals; a chain of three spans
+    two grid cells, so on cells at least 2e-8 wide this is the same as
+    comparing each with the last peak kept.  Each peak's width is the full
     width at half maximum, found by bisecting the half-height crossings
     on both flanks of every peak together (clamped at the window edge if
     a flank never drops that far).  The scan of the whole schedule and
@@ -172,55 +176,48 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> np.nd
     which, top = _interior_maxima(y)
     keep = y[which, top] > _PEAK_FLOOR * y.max(axis=1)[which]
     which, top = which[keep], top[keep]
-    if not top.size:
-        return _table(*np.empty((len(PEAK_COLUMNS), 0)))
     b = betas[which]
     lam_star = _golden_min(lambda x: -var_on(b, x), grid[top - 1], grid[top + 1], xtol=1e-8)
     height = var_on(b, lam_star)
-    flanks = np.tile(b, 2)
-    width = _fwhm(lambda x: var_on(flanks, x), grid, y[which], top, lam_star, height)
 
-    # a flat-topped maximum sampled twice refines to the same point; keep one.
-    # The peaks of each beta are in order already: each refines inside its two
-    # grid cells, and strict maxima are two samples apart, so their brackets
-    # share at most an end.  Each is compared with the last one kept, so a
-    # chain of such maxima keeps its highest.
-    ws, lams, hs = which.tolist(), lam_star.tolist(), height.tolist()
-    kept = [0]  # the indexes of the peaks kept
-    for r in range(1, len(ws)):
-        k = kept[-1]
-        if ws[r] == ws[k] and abs(lams[r] - lams[k]) < 2e-8:
-            if hs[r] > hs[k]:
-                kept[-1] = r
-        else:
-            kept.append(r)
-    return _table(b[kept], lam_star[kept], height[kept], width[kept])
+    # number the chains, then keep each one's highest; the peaks of each beta
+    # are in order already, as each refines inside its two grid cells and
+    # strict maxima are two samples apart, so their brackets share at most an end
+    chained = (np.diff(which, prepend=-1) == 0) & (np.diff(lam_star, prepend=-math.inf) < 2e-8)
+    peak = np.cumsum(~chained)
+    by_height = np.lexsort((-height, peak))
+    kept = by_height[np.diff(peak[by_height], prepend=0) > 0]
+    b, top, lam_star, height = b[kept], top[kept], lam_star[kept], height[kept]
+    width = _fwhm(lambda x: var_on(np.tile(b, 2), x), grid, y, which[kept], top, lam_star, height)
+    return _table(b, lam_star, height, width)
 
 
-def _fwhm(var_on, grid, ys, top, lam_star, height) -> np.ndarray:
+def _fwhm(var_on, grid, y, which, top, lam_star, height) -> np.ndarray:
     """Full widths at half maximum of the peaks at samples top, refined to lam_star.
 
-    ``ys`` holds each peak's row of samples on ``grid``; ``var_on`` takes
-    the left flanks' points, then the right flanks'.
+    ``y`` holds rows of samples on ``grid``, ``which`` each peak's row;
+    ``var_on`` takes the left flanks' points, then the right flanks'.  A
+    flank is bisected between the sample nearest the top on its side that
+    lies below half height and the sample just inside it; a flank that
+    never drops that far is clamped at the window edge, a zero-width
+    bracket.  A peak narrower than the grid has its top sample below half
+    height already: each flank is bisected from the refined top to the
+    first sample past it.
     """
     half = 0.5 * height
-    ends = []  # (inside, outside) per flank, left flanks first
-    for step in (-1, +1):
-        for k, y, lam, h in zip(top, ys, lam_star, half):
-            if y[k] < h:
-                # a peak narrower than the grid has its top sample below half
-                # height already: bisect from the refined top to the first
-                # sample past it
-                ends.append((lam, grid[k if (grid[k] - lam) * step > 0 else k + step]))
-                continue
-            # walk the samples away from the peak while they stay at or above
-            # half height, then bisect the cell where they drop below it (a
-            # zero-width bracket at the window edge if they never do: clamp)
-            while 0 <= k + step < len(grid) and y[k + step] >= h:
-                k += step
-            ends.append((grid[k], grid[min(max(k + step, 0), len(grid) - 1)]))
-    halves = np.tile(half, 2)
-    a, b = _bisect(lambda x: var_on(x) >= halves, *np.array(ends).T, xtol=1e-10)
+    # each row padded with a below-half sample at both window edges: argmax finds one
+    edges = np.concatenate((grid[:1], grid, grid[-1:]))
+    below = np.pad(y[which] < half[:, None], ((0, 0), (1, 1)), constant_values=True)
+    k, cols = top + 1, np.arange(edges.size)
+    right = (below & (cols > k[:, None])).argmax(axis=1)
+    left = edges.size - 1 - (below & (cols < k[:, None]))[:, ::-1].argmax(axis=1)
+    outer, step = np.concatenate((left, right)), np.repeat([-1, 1], top.size)
+    narrow = np.tile(below[np.arange(top.size), k], 2)
+    k, lam, halves = np.tile(k, 2), np.tile(lam_star, 2), np.tile(half, 2)
+    past = np.where((edges[k] - lam) * step > 0, k, k + step)
+    a = np.where(narrow, lam, edges[outer - step])
+    b = np.where(narrow, edges[past], edges[outer])
+    a, b = _bisect(lambda x: var_on(x) >= halves, a, b, xtol=1e-10)
     flank = 0.5 * (a + b)
     return flank[top.size :] - flank[: top.size]
 
@@ -237,8 +234,8 @@ def nearest_crossing(crossings, lams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     c = np.concatenate(([-math.inf], np.sort(crossings), [math.inf]))
     lam = np.asarray(lams, dtype=float)
-    if not (np.isfinite(c[1:-1]).all() and np.isfinite(lam).all()):
-        raise ValueError("couplings and crossings must be finite")
+    if not (c.size > 2 and np.isfinite(c[1:-1]).all() and np.isfinite(lam).all()):
+        raise ValueError("crossings must not be empty, and couplings and crossings must be finite")
     k = np.searchsorted(c, lam)
     j = np.where(c[k] - lam < lam - c[k - 1], k, k - 1)
     while (tied := lam - c[j - 1] == lam - c[j]).any():
@@ -284,7 +281,9 @@ def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:
     return _table(lams, plateaus[:-1], plateaus[1:], values[1:])
 
 
-def qpt_from_ceq(beta: float, search_interval=(0.5, 1.5), grid_points: int = 257) -> CeqSearchResult:
+def qpt_from_ceq(
+    beta: float, search_interval=(0.5, 1.5), grid_points: int = 257
+) -> CeqSearchResult:
     """Crossing coupling of the two-particle system from the scaled residual.
 
     The scaled zero-variance residual never changes sign; at large beta

@@ -228,7 +228,7 @@ class TestFindPeaks:
     def test_coincident_maxima_keep_the_highest(self):
         # on a window of 2e-9 around a remnant flank of N = 4 float noise makes
         # 53 strict maxima that all refine to within the dedupe distance; each
-        # is compared with the last one kept, so the chain is one peak, not one
+        # is compared with the one before, so the chain is one peak, not one
         # per pair of neighbours
         lam = 0.3260625533296134
         window = (lam - 1e-9, lam + 1e-9)
@@ -236,6 +236,22 @@ class TestFindPeaks:
         assert len(peaks) == 1
         got = peaks[:, [LAM, HEIGHT, WIDTH]].tolist()
         assert got == [list(pk) for pk in _one_search_per_peak(S4, 110.0, window, 512)]
+
+    def test_a_chain_of_maxima_is_one_peak(self, monkeypatch):
+        # three maxima of one beta refine 1.5e-8 apart on a falling flank, the
+        # first the highest: each is within 2e-8 of the one before, so the
+        # chain is one peak, though its ends are 3e-8 apart
+        lams = 0.345 + 1.5e-8 * np.arange(3)
+
+        def refined(f, a, b, xtol):
+            assert np.shape(a) == lams.shape
+            return lams.copy()
+
+        monkeypatch.setattr(transitions, "_golden_min", refined)
+        peaks = find_peaks(S4, 110.0, (0.2, 1.0), 512)
+        heights = [observables(S4, 110.0, lam).energy_variance for lam in lams]
+        assert heights[0] > heights[1] > heights[2]
+        assert peaks[:, [LAM, HEIGHT]].tolist() == [[lams[0], heights[0]]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -319,13 +335,16 @@ def _one_search_per_peak(s, beta, window, grid_points):
             height = var_at(lam)
             half = 0.5 * height
             peaks.append((lam, height, flank(i, lam, half, +1) - flank(i, lam, half, -1)))
-    deduped = []
+    # the route's own rule, not an oracle of it: each maximum within 2e-8 of
+    # the one before joins its chain, and a chain keeps its first highest
+    deduped, previous = [], None
     for pk in sorted(peaks, key=lambda p: p[0]):
-        if deduped and abs(pk[0] - deduped[-1][0]) < 2e-8:
+        if deduped and abs(pk[0] - previous) < 2e-8:
             if pk[1] > deduped[-1][1]:
                 deduped[-1] = pk
         else:
             deduped.append(pk)
+        previous = pk[0]
     return deduped
 
 
@@ -405,6 +424,10 @@ class TestTrackPeaks:
     def test_nearest_crossing_rejects_non_finite_input(self, crit, lams):
         with pytest.raises(ValueError, match="must be finite"):
             transitions.nearest_crossing(crit, lams)
+
+    def test_nearest_crossing_rejects_no_crossings(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            transitions.nearest_crossing([], [0.5])
 
     def test_schedule_validation(self, capsys):
         # a schedule too short to follow a peak across, one not strictly
