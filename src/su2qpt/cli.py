@@ -39,8 +39,6 @@ _EXIT_NUMERIC = 2
 _METHODS = ("analytic", "peaks", "jumps", "ceq", "all")
 _CONFIG_KEYS = frozenset({"n", "e_gap", "beta", "lambda_grid", "lambda", "method", "format", "out"})
 _ZERO_T_COLUMNS = ("lambda", "c_star_lambda_zero_t", "ground_energy", "degeneracy")
-# the fewest betas the peak route follows a remnant across
-_MIN_SCHEDULE = 3
 # the peaks block's rows: each peak's find_peaks row, then its nearest
 # crossing and its distance from it
 _TRACKED_COLUMNS = transitions.PEAK_COLUMNS + ("nearest_critical", "offset")
@@ -175,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument(
         "--beta",
         default=None,
-        help="beta schedule for peak tracking (needs >= 3 values; under "
-        "'all' a shorter one skips that route); the n=2 residual search "
-        "runs at its largest value",
+        help="beta schedule for the peak route; the n=2 residual search runs at its largest value",
     )
     cr.add_argument(
         "--lambda-grid",
@@ -344,8 +340,6 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
     # the default window brackets every crossing with a 20% margin
     window = _window(cfg, (0.8 * crit[0].item(), 1.2 * crit[-1].item()))
     schedule = [float(b) for b in cfg.get("beta", (70.0, 90.0, 110.0))]
-    if len(schedule) < _MIN_SCHEDULE:
-        raise ValueError(f"beta schedule needs at least {_MIN_SCHEDULE} values")
     # the whole schedule in one lockstep search, then each peak beside the
     # nearest crossing of the closed form
     peaks = transitions.find_peaks(s, schedule, window, _grid_points(cfg, 1024))
@@ -405,18 +399,26 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     s = model.analytic_spectrum(mult, e_gap)
     crit = model.critical_couplings(mult, e_gap)
 
-    if method == "ceq" and mult.n_particles != 2:
-        raise ValueError("the closed-form residual search applies to n = 2 only")
-    if method in ("peaks", "jumps") and not crit.size:
-        raise ValueError("no crossings exist below 2 particles")
     # the n = 2 levels are e_gap*{-1, -xi, +1} with xi = lambda/e_gap, so at
     # beta they weigh as the residual's unit-gap levels at beta*e_gap: the
     # search runs there, in xi, where the crossing lambda_c = e_gap is xi = 1
     lo, hi = xi_window = tuple(x / e_gap for x in _window(cfg, (0.5 * e_gap, 1.5 * e_gap)))
-    # an unordered window is left to the search, which rejects it
-    misses_crossing = lo < hi and not lo < 1.0 < hi
-    if method == "ceq" and misses_crossing:
-        raise ValueError(f"the ceq window must contain lambda_c = e_gap = {e_gap:g} strictly")
+    # each route's reason it cannot run here, or None
+    no_crossings = None if crit.size else "no crossings exist below 2 particles"
+    if mult.n_particles != 2:
+        no_ceq = "the closed-form residual search applies to n = 2 only"
+    elif not lo < 1.0 < hi:
+        no_ceq = f"the ceq window must contain lambda_c = e_gap = {e_gap:g} strictly"
+    elif lo < 0:
+        no_ceq = "the ceq window must not reach below lambda = 0"
+    else:
+        no_ceq = None
+
+    def runs(route: str, reason: str | None) -> bool:
+        # asked for alone, a route that cannot run is the usage error; under all it is left out
+        if method == route and reason:
+            raise ValueError(reason)
+        return method in (route, "all") and not reason
 
     ms = np.arange(crit.size + 1.0) - mult.j
     report = {
@@ -429,17 +431,11 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
         ),
     }
     exit_code = _EXIT_OK
-    # under all, a schedule too short to track leaves the peak route out, as
-    # a window without the crossing or reaching below lambda = 0, or n != 2,
-    # leaves ceq out
-    trackable = "beta" not in cfg or len(cfg["beta"]) >= _MIN_SCHEDULE
-    if crit.size and (method == "peaks" or (method == "all" and trackable)):
+    if runs("peaks", no_crossings):
         report["peaks"] = _peaks_block(cfg, s, crit)
-    if crit.size and method in ("jumps", "all"):
+    if runs("jumps", no_crossings):
         report["jumps"] = _jumps_block(cfg, s, crit)
-    if method == "ceq" or (
-        method == "all" and mult.n_particles == 2 and 0 <= lo and not misses_crossing
-    ):
+    if runs("ceq", no_ceq):
         report["ceq"] = _ceq_block(cfg, xi_window)
         if not report["ceq"]["converged"]:
             exit_code = _EXIT_NUMERIC

@@ -279,7 +279,9 @@ def check_thermo_properties():
                         worst_fd = max(worst_fd, abs(got - fd) / abs(fd))
                     sh_exact = obs.specific_heat == -(beta * beta) * obs.c_star_beta
                     if not (sh_exact and obs.specific_heat >= 0.0):
-                        notes.append(f"specific heat identity broken at n={n} beta={beta} lam={lam}")
+                        notes.append(
+                            f"specific heat identity broken at n={n} beta={beta} lam={lam}"
+                        )
             if not abs(thermo.observables(s, 0.0, 0.7).entropy - math.log(n + 1)) <= 1e-12:
                 notes.append(f"entropy(beta=0) != ln(N+1) at n={n}")
             lam_c1 = model.critical_couplings(Multiplet(n))[0].item()

@@ -820,18 +820,63 @@ class TestCritical:
         assert doc["ceq"]["converged"] is True
         assert abs(doc["ceq"]["xi_star"] - 1.0) <= 1e-6
 
-    def test_single_beta_under_all_leaves_peaks_out(self, capsys):
-        # too short a schedule to track: the other routes still run
-        rc, out, _ = run(["critical", "--n", "2", "--beta", "300"], capsys)
-        assert rc == 0
+    @pytest.mark.parametrize("beta", ["300", "70,110"])
+    def test_one_or_two_betas_run_the_peak_route(self, beta, capsys):
+        # alone and under all, with ceq at the largest beta
+        rc, out, err = run(["critical", "--n", "2", "--method", "peaks", "--beta", beta], capsys)
+        assert rc == 0, err
+        alone = json.loads(out)["peaks"]
+        assert alone["beta_schedule"] == [float(b) for b in beta.split(",")]
+        assert alone["tracked"]
+        rc, out, err = run(["critical", "--n", "2", "--beta", beta], capsys)
+        assert rc == 0, err
         doc = json.loads(out)
-        assert set(doc) == {"n_particles", "e_gap", "analytic", "jumps", "ceq"}
-        assert doc["ceq"]["beta"] == 300.0
+        assert set(doc) == {"n_particles", "e_gap", "analytic", "peaks", "jumps", "ceq"}
+        assert doc["peaks"] == alone
+        assert doc["ceq"]["beta"] == alone["beta_schedule"][-1]
         assert doc["ceq"]["converged"] is True
         assert abs(doc["ceq"]["xi_star"] - 1.0) <= 1e-6
-        rc, out, _ = run(["critical", "--n", "4", "--beta", "70,110"], capsys)
+
+    def test_a_single_beta_tracks_the_rows_of_that_beta(self, capsys):
+        # find_peaks gives a peak the same bits as a schedule of its beta alone
+        rc, out, _ = run(["critical", "--n", "8", "--beta", "110"], capsys)
         assert rc == 0
-        assert set(json.loads(out)) == {"n_particles", "e_gap", "analytic", "jumps"}
+        alone = json.loads(out)["peaks"]
+        rc, out, _ = run(["critical", "--n", "8"], capsys)
+        assert rc == 0
+        schedule = json.loads(out)["peaks"]
+        at_110 = [row for row in schedule["tracked"] if row["beta"] == 110.0]
+        assert len(alone["tracked"]) == 8
+        assert alone["tracked"] == at_110
+        assert alone["max_offset_at_beta_max"] == schedule["max_offset_at_beta_max"]
+
+    @pytest.mark.parametrize(
+        "argv, route, reason",
+        [
+            (["--n", "1"], "peaks", "no crossings exist below 2 particles"),
+            (["--n", "1"], "jumps", "no crossings exist below 2 particles"),
+            (["--n", "3"], "ceq", "the closed-form residual search applies to n = 2 only"),
+            (
+                ["--n", "2", "--e-gap", "2", "--lambda-grid", "0.5:1.5:100"],
+                "ceq",
+                "the ceq window must contain lambda_c = e_gap = 2 strictly",
+            ),
+            (
+                ["--n", "2", "--lambda-grid=-0.5:1.5:20"],
+                "ceq",
+                "the ceq window must not reach below lambda = 0",
+            ),
+        ],
+        ids=["n1-peaks", "n1-jumps", "n3-ceq", "ceq-misses-crossing", "ceq-below-zero"],
+    )
+    def test_a_route_that_cannot_run_alone_is_left_out_under_all(
+        self, argv, route, reason, capsys
+    ):
+        rc, out, err = run(["critical", *argv, "--method", route], capsys)
+        assert (rc, out, err) == (1, "", f"su2qpt: error: {reason}\n")
+        rc, out, err = run(["critical", *argv], capsys)
+        assert rc == 0, err
+        assert route not in json.loads(out)
 
     def test_ceq_rejected_above_two_particles(self, capsys):
         rc, _, err = run(["critical", "--n", "4", "--method", "ceq"], capsys)
@@ -863,16 +908,6 @@ class TestCritical:
         assert rc == 1
         assert out == ""
         assert err == "su2qpt: error: the ceq window must contain lambda_c = e_gap = 2 strictly\n"
-
-    def test_short_peak_schedule_is_usage_error(self, capsys):
-        rc, _, err = run(["critical", "--n", "4", "--method", "peaks", "--beta", "200"], capsys)
-        assert rc == 1
-        assert "schedule" in err
-        # at n = 2 too, where under all the same schedule runs the other routes
-        rc, out, err = run(["critical", "--n", "2", "--method", "peaks", "--beta", "300"], capsys)
-        assert rc == 1
-        assert out == ""
-        assert "at least 3 values" in err
 
     def test_lambda_grid_override(self, capsys):
         rc, out, _ = run(

@@ -7,12 +7,13 @@ formats (``zero-t`` also past 4096 levels, where the sums are windowed),
 the exact ``critical`` routes (jumps and analytic), and every error path
 of the flags and the config file.  Sweep columns are left out: a
 vectorised exp can round differently from libm's on some CPUs, so their
-last bits depend on the host.  Four ``critical`` cases run the tracked
-peak route all the same, because nothing else pins its bytes end to end:
-its refinement must reach the same bits however its points are batched.
-Seven ``critical --n 2`` cases pin the N = 2 residual route, the error
-lines of a residual that overflows and of a window reaching below
-lambda = 0, and the report under ``all`` that leaves the route out there.
+last bits depend on the host.  Ten ``critical`` cases run the peak route
+all the same, two of them at a single beta, because nothing else pins its
+bytes end to end: its refinement must reach the same bits however its
+points are batched.  Seven ``critical --n 2`` cases pin the N = 2
+residual route, the residual's error line where it overflows, the CLI's
+where ``--method ceq`` is given a window reaching below lambda = 0, and
+the report under ``all`` that leaves the route out there.
 They were generated on an x86-64 host with numpy 2.4.  numpy's AVX-512
 exp rounds a few percent of arguments differently from libm's, and four
 ``critical`` cases differ by it in one or two cells each: three in a peak

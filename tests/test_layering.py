@@ -3,7 +3,7 @@ and the CLI's output one write.
 
 ``model`` blocks, windows and ties levels; the package re-exports its modules' ``__all__``;
 no route takes the closed-form crossings; a CLI flag's dest is its config key; the commands
-return their output and ``main`` writes it.
+return their output and ``main`` writes it; no source line is longer than 100 characters.
 """
 
 import ast
@@ -114,3 +114,10 @@ def test_main_is_the_one_write_site():
     assert writers == ["main"]
     for command in cli._DISPATCH.values():
         assert command.__annotations__["return"] == "tuple[Iterable[str], int]", command.__name__
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_source_line_is_longer_than_100_characters(path):
+    # the project's one line limit, kept here since no linter runs
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [i for i, line in enumerate(lines, 1) if len(line) > 100] == []

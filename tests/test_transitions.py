@@ -430,10 +430,9 @@ class TestTrackPeaks:
             transitions.nearest_crossing([], [0.5])
 
     def test_schedule_validation(self, capsys):
-        # a schedule too short to follow a peak across, one not strictly
-        # increasing, and a model without crossings each exit 1 with a reason
+        # a schedule not strictly increasing and a model without crossings
+        # each exit 1 with a reason
         cases = [
-            (["--n", "4", "--beta", "70,90"], "beta schedule needs at least 3 values"),
             (["--n", "4", "--beta", "70,70,90"], "must be strictly increasing"),
             (["--n", "1"], "no crossings exist below 2 particles"),
         ]
