@@ -378,25 +378,25 @@ def _jumps_block(cfg: dict, s, crit) -> dict:
     }
 
 
-def _ceq_block(cfg: dict, xi_window) -> dict:
+def _ceq_block(cfg: dict, xi_window, xi_crit) -> dict:
     # the largest beta given: the residual's dip sharpens as beta grows
     beta = float(cfg["beta"][-1]) if "beta" in cfg else 200.0
     res = transitions.qpt_from_ceq(beta * cfg["e_gap"], xi_window, _grid_points(cfg, 257))
-    # as beta grows the zero-variance condition collapses to its double root xi = 1
-    limit = 1.0
+    # as beta grows the zero-variance condition collapses to its double root,
+    # the crossing in xi units
+    [limit], [delta], _ = transitions.nearest_crossing(xi_crit, [res.xi])
     return {
         "beta": beta,
         "xi_star": res.xi,
         "converged": res.converged,
         "residual": res.residual,
-        "zero_t_limit": limit,
-        "delta_to_zero_t": abs(res.xi - limit),
+        "zero_t_limit": limit.item(),
+        "delta_to_zero_t": delta.item(),
     }
 
 
 def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     mult, e_gap, method = Multiplet(cfg["n"]), cfg["e_gap"], cfg["method"]
-    s = model.analytic_spectrum(mult, e_gap)
     crit = model.critical_couplings(mult, e_gap)
 
     # the n = 2 levels are e_gap*{-1, -xi, +1} with xi = lambda/e_gap, so at
@@ -431,12 +431,15 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
         ),
     }
     exit_code = _EXIT_OK
-    if runs("peaks", no_crossings):
+    peaks, jumps = runs("peaks", no_crossings), runs("jumps", no_crossings)
+    # the levels only for a route that reads them
+    s = model.analytic_spectrum(mult, e_gap) if peaks or jumps else None
+    if peaks:
         report["peaks"] = _peaks_block(cfg, s, crit)
-    if runs("jumps", no_crossings):
+    if jumps:
         report["jumps"] = _jumps_block(cfg, s, crit)
     if runs("ceq", no_ceq):
-        report["ceq"] = _ceq_block(cfg, xi_window)
+        report["ceq"] = _ceq_block(cfg, xi_window, crit / e_gap)
         if not report["ceq"]["converged"]:
             exit_code = _EXIT_NUMERIC
     return _cells.json_text(report), exit_code

@@ -39,6 +39,9 @@ __all__ = [
 class ThermalObservables:
     """All canonical-ensemble outputs at one (beta, lam) point.
 
+    The fields are a row of ``observables_grid``, under the names and in
+    the order of ``COLUMNS`` (``lam`` for ``lambda``), then the occupations.
+
     Attributes
     ----------
     beta : float
@@ -49,18 +52,17 @@ class ThermalObservables:
         Log partition function ln Tr exp(-beta*H).
     mean_energy : float
         Ensemble average <E>.
-    energy_variance : float
-        <E^2> - <E>^2, computed from centered moments (always >= 0).
+    entropy : float
+        Gibbs entropy beta*<E> + ln Z, computed in shifted form so it is
+        structurally non-negative.
     c_star_beta : float
-        d<E>/d(beta) = -energy_variance, never positive.
+        d<E>/d(beta) = -(<E^2> - <E>^2), the energy variance from centered
+        moments, negated; never positive.
     c_star_lambda : float
         d<E>/d(lam) at fixed beta, from the exact moment identity
         <e'> - beta*(<e e'> - <e><e'>) with e'_i the level slopes.
     specific_heat : float
         The thermodynamic heat capacity -beta^2 * c_star_beta, >= 0.
-    entropy : float
-        Gibbs entropy beta*<E> + ln Z, computed in shifted form so it is
-        structurally non-negative.
     occupations : numpy.ndarray
         Boltzmann probability of each level, basis order; exactly 0
         outside the levels the kernel summed.
@@ -70,11 +72,10 @@ class ThermalObservables:
     lam: float
     log_z: float
     mean_energy: float
-    energy_variance: float
+    entropy: float
     c_star_beta: float
     c_star_lambda: float
     specific_heat: float
-    entropy: float
     occupations: np.ndarray
 
 
@@ -231,14 +232,7 @@ def observables(s: Spectrum, beta: float, lam: float) -> ThermalObservables:
     p = np.zeros(s.slopes.size)
     p[levels] = p_levels[0]
     p.setflags(write=False)
-    fields = dict(zip(COLUMNS[2:], (c.item() for c in columns)))
-    return ThermalObservables(
-        beta=beta.item(),
-        lam=lam.item(),
-        energy_variance=-fields["c_star_beta"],
-        occupations=p,
-        **fields,
-    )
+    return ThermalObservables(beta.item(), lam.item(), *(c.item() for c in columns), p)
 
 
 class N2ClosedForms(NamedTuple):

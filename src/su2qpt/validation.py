@@ -258,7 +258,7 @@ def check_thermo_properties():
                         for a, b in [
                             (obs_sh.log_z, obs.log_z - beta * shift),
                             (obs_sh.mean_energy - shift, obs.mean_energy),
-                            (obs_sh.energy_variance, obs.energy_variance),
+                            (obs_sh.c_star_beta, obs.c_star_beta),
                             (obs_sh.c_star_lambda, obs.c_star_lambda),
                             (obs_sh.entropy, obs.entropy),
                         ]

@@ -790,6 +790,35 @@ class TestCritical:
         assert abs(doc["ceq"]["xi_star"] - 1.0) <= 1e-6
         assert doc["ceq"]["zero_t_limit"] == 1.0
 
+    @pytest.mark.parametrize(
+        "argv", [["--n", "4", "--method", "analytic"], ["--n", "2", "--method", "ceq"]]
+    )
+    def test_analytic_and_ceq_build_no_spectrum(self, argv, monkeypatch, capsys):
+        # neither reads the levels, so neither builds the level arrays
+        want = run(["critical", *argv], capsys)
+        assert want[0] == 0
+
+        def no_levels(*args, **kwargs):
+            raise AssertionError("the level arrays were built")
+
+        monkeypatch.setattr(cli.model, "analytic_spectrum", no_levels)
+        assert run(["critical", *argv], capsys) == want
+
+    def test_every_block_compares_through_nearest_crossing(self, monkeypatch, capsys):
+        # the peaks, jumps and ceq blocks each make one comparison lookup
+        calls = []
+        lookup = cli.transitions.nearest_crossing
+
+        def counted(crossings, lams):
+            calls.append(np.asarray(crossings).tolist())
+            return lookup(crossings, lams)
+
+        monkeypatch.setattr(cli.transitions, "nearest_crossing", counted)
+        rc, out, err = run(["critical", "--n", "2", "--beta", "300"], capsys)
+        assert rc == 0, err
+        # ceq's lookup is in xi = lambda/e_gap, where the crossing is 1 at any gap
+        assert calls == [[1.0], [1.0], [1.0]]
+
     def test_ceq_runs_in_units_of_the_gap(self, capsys):
         # the n = 2 levels are e_gap*{-1, -xi, +1}, so a gap of 2 at beta 100
         # is the unit gap at beta 200, in xi = lambda/e_gap

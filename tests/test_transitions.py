@@ -126,7 +126,7 @@ class TestFindPeaks:
             inside, half = peak[LAM], 0.5 * peak[HEIGHT]
             for _ in range(60):
                 mid = 0.5 * (inside + outside)
-                if observables(S4, 110.0, mid).energy_variance >= half:
+                if -observables(S4, 110.0, mid).c_star_beta >= half:
                     inside = mid
                 else:
                     outside = mid
@@ -249,7 +249,7 @@ class TestFindPeaks:
 
         monkeypatch.setattr(transitions, "_golden_min", refined)
         peaks = find_peaks(S4, 110.0, (0.2, 1.0), 512)
-        heights = [observables(S4, 110.0, lam).energy_variance for lam in lams]
+        heights = [-observables(S4, 110.0, lam).c_star_beta for lam in lams]
         assert heights[0] > heights[1] > heights[2]
         assert peaks[:, [LAM, HEIGHT]].tolist() == [[lams[0], heights[0]]]
 
@@ -310,7 +310,7 @@ def _one_search_per_peak(s, beta, window, grid_points):
     """
 
     def var_at(x):
-        return observables(s, beta, x).energy_variance
+        return -observables(s, beta, x).c_star_beta
 
     def flank(k, lam_star, half, step):
         def above_half(x):
