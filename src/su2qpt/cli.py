@@ -325,24 +325,21 @@ def cmd_zero_t(cfg: dict) -> tuple[Iterable[str], int]:
     return _cells.csv_text(_ZERO_T_COLUMNS, table), _EXIT_OK
 
 
-def _window(cfg: dict, default_window) -> tuple:
-    """A route's window: --lambda-grid's ends, else the default."""
+def _scan(cfg: dict, window: tuple, points: int, unit: float = 1.0) -> tuple[tuple, int]:
+    """--lambda-grid's ends over ``unit`` and its size (at least 16), else the defaults given."""
     grid = cfg.get("lambda_grid")
-    return default_window if grid is None else (float(grid[0]), float(grid[-1]))
-
-
-def _grid_points(cfg: dict, default_points: int) -> int:
-    """A scanning route's density: --lambda-grid's size (at least 16), else the default."""
-    return max(len(cfg["lambda_grid"]), 16) if "lambda_grid" in cfg else default_points
+    if grid is None:
+        return window, points
+    return (grid[0].item() / unit, grid[-1].item() / unit), max(grid.size, 16)
 
 
 def _peaks_block(cfg: dict, s, crit) -> dict:
     # the default window brackets every crossing with a 20% margin
-    window = _window(cfg, (0.8 * crit[0].item(), 1.2 * crit[-1].item()))
+    window, points = _scan(cfg, (0.8 * crit[0].item(), 1.2 * crit[-1].item()), 1024)
     schedule = [float(b) for b in cfg.get("beta", (70.0, 90.0, 110.0))]
     # the whole schedule in one lockstep search, then each peak beside the
     # nearest crossing of the closed form
-    peaks = transitions.find_peaks(s, schedule, window, _grid_points(cfg, 1024))
+    peaks = transitions.find_peaks(s, schedule, window, points)
     near, offsets, gaps = transitions.nearest_crossing(crit, peaks[:, _LAMBDA_AT_PEAK])
     tracked = np.column_stack((peaks, near, offsets))
     tracked.setflags(write=False)  # read-only, as every route's table is
@@ -353,6 +350,12 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
         f"(offset {offset:.4f} from nearest crossing {nearest:.6f})"
         for b, lam, _height, _width, nearest, offset in tracked[offsets > 0.25 * gaps].tolist()
     ]
+    # an empty block is no clean report while crossings lie strictly inside the
+    # window: a schedule too hot for remnants, or peaks narrower than a cell
+    inside = np.count_nonzero((window[0] < crit) & (crit < window[1]))
+    if not peaks.size and inside:
+        betas = ",".join(format(b, "g") for b in schedule)
+        warnings.append(f"beta={betas}: no peak tracked; crossings inside the window: {inside}")
     final_offsets = offsets[peaks[:, _BETA] == max(schedule)]
     return {
         "beta_schedule": schedule,
@@ -364,7 +367,7 @@ def _peaks_block(cfg: dict, s, crit) -> dict:
 
 
 def _jumps_block(cfg: dict, s, crit) -> dict:
-    window = _window(cfg, (0.0, 1.2 * crit[-1].item()))
+    window, _ = _scan(cfg, (0.0, 1.2 * crit[-1].item()), 0)  # a route without a grid
     jumps = transitions.detect_jumps(s, window)
     _, distances, _ = transitions.nearest_crossing(crit, jumps[:, _LAMBDA])
     # the staircase at the window's left end (a window without a jump is one
@@ -378,10 +381,10 @@ def _jumps_block(cfg: dict, s, crit) -> dict:
     }
 
 
-def _ceq_block(cfg: dict, xi_window, xi_crit) -> dict:
+def _ceq_block(cfg: dict, xi_window, points: int, xi_crit) -> dict:
     # the largest beta given: the residual's dip sharpens as beta grows
     beta = float(cfg["beta"][-1]) if "beta" in cfg else 200.0
-    res = transitions.qpt_from_ceq(beta * cfg["e_gap"], xi_window, _grid_points(cfg, 257))
+    res = transitions.qpt_from_ceq(beta * cfg["e_gap"], xi_window, points)
     # as beta grows the zero-variance condition collapses to its double root,
     # the crossing in xi units
     [limit], [delta], _ = transitions.nearest_crossing(xi_crit, [res.xi])
@@ -401,8 +404,9 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
 
     # the n = 2 levels are e_gap*{-1, -xi, +1} with xi = lambda/e_gap, so at
     # beta they weigh as the residual's unit-gap levels at beta*e_gap: the
-    # search runs there, in xi, where the crossing lambda_c = e_gap is xi = 1
-    lo, hi = xi_window = tuple(x / e_gap for x in _window(cfg, (0.5 * e_gap, 1.5 * e_gap)))
+    # search runs there, in xi, where the crossing lambda_c = e_gap is xi = 1;
+    # its default window is in xi, and only a --lambda-grid's ends are divided
+    (lo, hi), ceq_points = _scan(cfg, (0.5, 1.5), 257, e_gap)
     # each route's reason it cannot run here, or None
     no_crossings = None if crit.size else "no crossings exist below 2 particles"
     if mult.n_particles != 2:
@@ -439,7 +443,7 @@ def cmd_critical(cfg: dict) -> tuple[Iterable[str], int]:
     if jumps:
         report["jumps"] = _jumps_block(cfg, s, crit)
     if runs("ceq", no_ceq):
-        report["ceq"] = _ceq_block(cfg, xi_window, crit / e_gap)
+        report["ceq"] = _ceq_block(cfg, (lo, hi), ceq_points, crit / e_gap)
         if not report["ceq"]["converged"]:
             exit_code = _EXIT_NUMERIC
     return _cells.json_text(report), exit_code

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import io
@@ -265,6 +266,14 @@ class TestSpectrum:
         rc, _, err = run(["spectrum", "--n", "2.5"], capsys)
         assert rc == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("flag", [["--lambda", "1e308"], ["--e-gap", "1e308"]])
+    def test_an_overflow_writes_nothing(self, flag, fmt, capsys):
+        # the energies at lambda = 1e308, or the intercepts of a gap of 1e308,
+        # overflow while the table is computed, before its first byte
+        rc, out, err = run(["spectrum", "--n", "4", *flag, "--format", fmt], capsys)
+        assert (rc, out, err) == (1, "", "su2qpt: error: overflow encountered in multiply\n")
 
     @pytest.mark.parametrize("gap", ["inf", "-inf", "nan", "0"])
     def test_rejects_non_finite_or_non_positive_e_gap(self, gap, capsys):
@@ -819,15 +828,59 @@ class TestCritical:
         # ceq's lookup is in xi = lambda/e_gap, where the crossing is 1 at any gap
         assert calls == [[1.0], [1.0], [1.0]]
 
-    def test_ceq_runs_in_units_of_the_gap(self, capsys):
-        # the n = 2 levels are e_gap*{-1, -xi, +1}, so a gap of 2 at beta 100
-        # is the unit gap at beta 200, in xi = lambda/e_gap
-        rc, out, _ = run(["critical", "--n", "2", "--method", "ceq", "--beta", "200"], capsys)
-        unit = json.loads(out)["ceq"]
-        argv = ["critical", "--n", "2", "--method", "ceq", "--e-gap", "2", "--beta", "100"]
-        rc, out, _ = run(argv, capsys)
-        assert rc == 0
-        assert json.loads(out)["ceq"] == {**unit, "beta": 100.0}
+    @given(
+        e_gap=st.floats(-6.0, 6.0).map(lambda x: 10.0**x),
+        beta=st.floats(1.0, 1e3),
+        xi_grid=st.none()
+        | st.tuples(st.floats(0.05, 0.95), st.floats(1.05, 3.0), st.integers(2, 300)),
+    )
+    @example(e_gap=2.0, beta=100.0, xi_grid=None)
+    # the default beta (200) and window: the window is declared in xi, not in
+    # lambda, where 1.5*0.7/0.7 rounds below 1.5
+    @example(e_gap=0.7, beta=None, xi_grid=None)
+    @example(e_gap=2.5, beta=None, xi_grid=(0.8, 1.2, 100))
+    def test_ceq_runs_in_units_of_the_gap(self, e_gap, beta, xi_grid):
+        # the n = 2 levels are e_gap*{-1, -xi, +1}, so a gap g at beta b is the
+        # unit gap at beta b*g, in xi = lambda/e_gap: the same block bit for bit
+        argv = ["critical", "--n", "2", "--method", "ceq", "--e-gap", repr(e_gap)]
+        b = 200.0 if beta is None else beta  # None: the default beta
+        unit_argv = ["critical", "--n", "2", "--method", "ceq", "--beta", repr(b * e_gap)]
+        if beta is not None:
+            argv += ["--beta", repr(beta)]
+        if xi_grid is not None:
+            lo, hi, k = xi_grid
+            lo, hi = lo * e_gap, hi * e_gap
+            argv += ["--lambda-grid", f"{lo!r}:{hi!r}:{k}"]
+            # the unit-gap run searches the gap run's xi ends
+            unit_argv += ["--lambda-grid", f"{lo / e_gap!r}:{hi / e_gap!r}:{k}"]
+        results = []
+        for a in (argv, unit_argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(a)
+            results.append((rc, json.loads(out.getvalue())["ceq"]))
+        [(rc, block), (unit_rc, unit_block)] = results
+        assert rc == unit_rc
+        assert block.pop("beta") == b
+        del unit_block["beta"]
+        assert block == unit_block
+
+    @pytest.mark.parametrize("gap", ["1e-5", "1e5"])
+    def test_an_empty_peaks_block_says_so(self, gap, capsys):
+        # the schedule 70, 90, 110 is absolute: at a gap of 1e-5 far too hot
+        # for remnants, at 1e5 its peaks far narrower than a cell of the window
+        rc, out, err = run(["critical", "--n", "8", "--method", "peaks", "--e-gap", gap], capsys)
+        assert (rc, err) == (0, "")
+        peaks = json.loads(out)["peaks"]
+        assert peaks["tracked"] == []
+        assert peaks["warnings"] == ["beta=70,90,110: no peak tracked; crossings inside the window: 4"]
+        # a window that holds no crossing tracks none, and that is no warning
+        argv = ["critical", "--n", "8", "--method", "peaks", "--lambda-grid", "2:3:20"]
+        rc, out, err = run([*argv, "--e-gap", gap], capsys)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["peaks"]["warnings"] == []
+
+    def test_a_lambda_window_is_divided_by_the_gap(self, capsys):
         # a window around lambda_c = 2.5 holds the crossing xi = 1
         rc, out, err = run(["critical", "--n", "2", "--e-gap", "2.5", "--lambda-grid", "2:3:100"], capsys)
         assert rc == 0, err

@@ -396,6 +396,8 @@ class TestTrackPeaks:
     @example([0.25, 0.75], [0.5, 0.25, 0.75, 1.0, -1.0])  # a tie goes to the lower crossing
     @example([1.0], [0.2, 1.0, 7.0])  # one crossing: no gap, so no warning
     @example([0.0, 5e-301, 0.5], [1.0])  # rounding ties crossings that are not neighbours
+    @example([0.5, 2.0], [])  # no row, a crossing inside the window: one warning
+    @example([0.0, 1.4, 2.0], [])  # no crossing strictly inside: none
     def test_each_peak_takes_its_nearest_crossing(self, crit, lams):
         def peaks(s, schedule, *args):
             # one call for the whole schedule: the same peaks at every beta
@@ -414,7 +416,9 @@ class TestTrackPeaks:
             warned += abs(lam - nearest) > 0.25 * gap
         assert [tuple(row) for row in tracked[:, [NEAREST, OFFSET]].tolist()] == want * 3
         assert tracked.dtype == np.float64
-        assert len(warnings) == 3 * warned
+        # and one more for a block without rows while a crossing lies strictly inside the window
+        empty = not lams and any(0.0 < c < 1.4 for c in crit)
+        assert len(warnings) == 3 * warned + empty
 
     @pytest.mark.parametrize(
         "crit, lams",
