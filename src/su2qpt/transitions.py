@@ -35,10 +35,11 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Interior maxima of a peak scan below this share of its largest sample
-# are float noise on a flat tail (the variance there is ~1e-31 where the
-# real remnant peaks are ~1e-4), not remnant peaks.
-_PEAK_FLOOR = 1e-12
+# The specific heat beta**2 * Var(E) at a remnant peak of an isolated
+# crossing is the two-level maximum x**2 e**x / (1 + e**x)**2 = 0.43922884,
+# where x = 2.39936 solves x tanh(x/2) = 2, at every beta, N and e_gap;
+# float noise on a flat tail refines to ~1e-27.  Half of it is the floor.
+_C_FLOOR = 0.5 * 0.43922884
 
 # The observables_grid column of d<E>/d(beta), minus the energy variance.
 _C_STAR_BETA = thermo.COLUMNS.index("c_star_beta")
@@ -141,15 +142,17 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> np.nd
 
     ``beta`` is one inverse temperature or a schedule of them.  At every
     beta the magnitude (equal to the energy variance) is scanned on one
-    uniform grid, and the strict interior local maxima are kept; maxima
-    below ``_PEAK_FLOOR`` times that beta's largest sample are float
-    noise and are skipped.  All of them, of every beta, are polished
-    together by golden-section search, one bracket of two grid cells per
-    maximum, to a coupling resolution of 1e-8.  Maxima of one beta that
+    uniform grid.  Every strict interior local maximum, of every beta, is
+    polished together by golden-section search, one bracket of two grid
+    cells per maximum, to a coupling resolution of 1e-8, and from then on
+    each is judged by its refined peak alone.  Maxima of one beta that
     each refine within 2e-8 of the one before (a flat top sampled twice)
     are one peak, the highest, the first of equals; a chain of three spans
     two grid cells, so on cells at least 2e-8 wide this is the same as
-    comparing each with the last peak kept.  Each peak's width is the full
+    comparing each with the last peak kept.  A peak is kept where its
+    specific heat beta**2 * height is at least ``_C_FLOOR``, half the
+    two-level value every remnant peak reaches; float noise on a flat
+    tail lies far below it.  Each peak's width is the full
     width at half maximum, found by bisecting the half-height crossings
     on both flanks of every peak together (clamped at the window edge if
     a flank never drops that far).  The scan of the whole schedule and
@@ -158,8 +161,8 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> np.nd
 
     Returns a read-only (peaks, 4) table of ``PEAK_COLUMNS``, ordered by
     beta as given, then by coupling: no row for a beta at which no
-    interior maximum exists, e.g. one too small for the remnant structure
-    to survive.
+    interior maximum clears the floor, e.g. one too small for the remnant
+    structure to survive.
     """
     betas = np.array(beta, dtype=float, ndmin=1)
     if betas.ndim != 1 or not np.all(betas > 0):
@@ -174,8 +177,6 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> np.nd
 
     grid, y = _scan(scan, lambda_range, grid_points)
     which, top = _interior_maxima(y)
-    keep = y[which, top] > _PEAK_FLOOR * y.max(axis=1)[which]
-    which, top = which[keep], top[keep]
     b = betas[which]
     lam_star = _golden_min(lambda x: -var_on(b, x), grid[top - 1], grid[top + 1], xtol=1e-8)
     height = var_on(b, lam_star)
@@ -187,39 +188,36 @@ def find_peaks(s: Spectrum, beta, lambda_range, grid_points: int = 512) -> np.nd
     peak = np.cumsum(~chained)
     by_height = np.lexsort((-height, peak))
     kept = by_height[np.diff(peak[by_height], prepend=0) > 0]
-    b, top, lam_star, height = b[kept], top[kept], lam_star[kept], height[kept]
-    width = _fwhm(lambda x: var_on(np.tile(b, 2), x), grid, y, which[kept], top, lam_star, height)
+    kept = kept[b[kept] ** 2 * height[kept] >= _C_FLOOR]
+    b, lam_star, height = b[kept], lam_star[kept], height[kept]
+    width = _fwhm(lambda x: var_on(np.tile(b, 2), x), grid, y, which[kept], lam_star, height)
     return _table(b, lam_star, height, width)
 
 
-def _fwhm(var_on, grid, y, which, top, lam_star, height) -> np.ndarray:
-    """Full widths at half maximum of the peaks at samples top, refined to lam_star.
+def _fwhm(var_on, grid, y, which, lam_star, height) -> np.ndarray:
+    """Full widths at half maximum of the peaks refined to lam_star.
 
     ``y`` holds rows of samples on ``grid``, ``which`` each peak's row;
-    ``var_on`` takes the left flanks' points, then the right flanks'.  A
-    flank is bisected between the sample nearest the top on its side that
-    lies below half height and the sample just inside it; a flank that
-    never drops that far is clamped at the window edge, a zero-width
-    bracket.  A peak narrower than the grid has its top sample below half
-    height already: each flank is bisected from the refined top to the
-    first sample past it.
+    ``var_on`` takes the left flanks' points, then the right flanks'.  On
+    each side the outer end of a flank's bracket is the nearest sample
+    strictly past lam_star that lies below half height, and the inner end
+    the sample before it, or lam_star itself where that sample is below
+    half too (a peak narrower than a cell).  A flank that never drops that
+    far is clamped at the window edge, a zero-width bracket.
     """
-    half = 0.5 * height
+    n, half, lam = lam_star.size, 0.5 * height, lam_star[:, None]
     # each row padded with a below-half sample at both window edges: argmax finds one
     edges = np.concatenate((grid[:1], grid, grid[-1:]))
     below = np.pad(y[which] < half[:, None], ((0, 0), (1, 1)), constant_values=True)
-    k, cols = top + 1, np.arange(edges.size)
-    right = (below & (cols > k[:, None])).argmax(axis=1)
-    left = edges.size - 1 - (below & (cols < k[:, None]))[:, ::-1].argmax(axis=1)
-    outer, step = np.concatenate((left, right)), np.repeat([-1, 1], top.size)
-    narrow = np.tile(below[np.arange(top.size), k], 2)
-    k, lam, halves = np.tile(k, 2), np.tile(lam_star, 2), np.tile(half, 2)
-    past = np.where((edges[k] - lam) * step > 0, k, k + step)
-    a = np.where(narrow, lam, edges[outer - step])
-    b = np.where(narrow, edges[past], edges[outer])
-    a, b = _bisect(lambda x: var_on(x) >= halves, a, b, xtol=1e-10)
+    right = (below & (edges > lam)).argmax(axis=1)
+    left = edges.size - 1 - (below & (edges < lam))[:, ::-1].argmax(axis=1)
+    outer = np.concatenate((left, right))
+    inner = outer - np.repeat([-1, 1], n)
+    a = np.where(below[np.arange(2 * n) % n, inner], np.tile(lam_star, 2), edges[inner])
+    halves = np.tile(half, 2)
+    a, b = _bisect(lambda x: var_on(x) >= halves, a, edges[outer], xtol=1e-10)
     flank = 0.5 * (a + b)
-    return flank[top.size :] - flank[: top.size]
+    return flank[n:] - flank[:n]
 
 
 def nearest_crossing(crossings, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,10 +252,10 @@ def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:
     intercept ascending, and each pops the top while it crosses the level
     beneath no later than the top did, so a crossing of several levels is
     one jump to the steepest.  The vertices before the first at or past hi
-    are reported, with no threshold on their plateau gaps: one row of
-    ``JUMP_COLUMNS`` each, in a read-only (jumps, 4) table.  The first
-    jump's left value is the staircase at lo: the on-point mean if lo is
-    a crossing.
+    are reported, those that round to one coupling as one, with no
+    threshold on their plateau gaps: one row of ``JUMP_COLUMNS`` each, in
+    a read-only (jumps, 4) table.  The first jump's left value is the
+    staircase at lo: the on-point mean if lo is a crossing.
     """
     lo, hi = _interval(lambda_range)
     # the levels tied for ground at lo, as ``model.ground_level`` finds them
@@ -274,6 +272,9 @@ def detect_jumps(s: Spectrum, lambda_range) -> np.ndarray:
             hull.append(((a - hull[-1][1]) / (hull[-1][2] - b), a, b))
     vertices = np.array(hull[1:]).reshape(-1, 3)
     lams, _, rights = vertices[np.logical_and.accumulate(vertices[:, 0] < hi)].T
+    # vertices that round to one coupling are one jump, to the last one's plateau
+    last = np.diff(lams, append=math.inf) != 0
+    lams, rights = lams[last], rights[last]
 
     # the staircase at lo, then the on-point value at every vertex
     values = model.ground_level(s, np.concatenate(([lo], lams)))[1]

@@ -880,6 +880,16 @@ class TestCritical:
         assert (rc, err) == (0, "")
         assert json.loads(out)["peaks"]["warnings"] == []
 
+    @pytest.mark.parametrize("n, grid", [("5", "1.0:1.3:512"), ("7", "1.3:1.6:512")])
+    def test_float_noise_past_the_last_crossing_tracks_nothing(self, n, grid, capsys):
+        # the variance there is ~1e-31 and its float noise has strict maxima,
+        # far below the specific heat of a remnant peak
+        argv = ["critical", "--n", n, "--method", "peaks", "--lambda-grid", grid]
+        rc, out, err = run(argv, capsys)
+        assert (rc, err) == (0, "")
+        peaks = json.loads(out)["peaks"]
+        assert (peaks["tracked"], peaks["warnings"]) == ([], [])
+
     def test_a_lambda_window_is_divided_by_the_gap(self, capsys):
         # a window around lambda_c = 2.5 holds the crossing xi = 1
         rc, out, err = run(["critical", "--n", "2", "--e-gap", "2.5", "--lambda-grid", "2:3:100"], capsys)

@@ -7,10 +7,12 @@ formats (``zero-t`` also past 4096 levels, where the sums are windowed),
 the exact ``critical`` routes (jumps and analytic), and every error path
 of the flags and the config file.  Sweep columns are left out: a
 vectorised exp can round differently from libm's on some CPUs, so their
-last bits depend on the host.  Ten ``critical`` cases run the peak route
-all the same, two of them at a single beta, because nothing else pins its
-bytes end to end: its refinement must reach the same bits however its
-points are batched.  Seven ``critical --n 2`` cases pin the N = 2
+last bits depend on the host.  Twelve ``critical`` cases run the peak
+route all the same, three of them at a single beta, because nothing else
+pins its bytes end to end: its refinement must reach the same bits however
+its points are batched.  Two of them pin its floor: float noise past the
+last crossing of N = 5 is no peak, and a real peak lower in its samples
+than another is still one.  Seven ``critical --n 2`` cases pin the N = 2
 residual route, the residual's error line where it overflows, the CLI's
 where ``--method ceq`` is given a window reaching below lambda = 0, and
 the report under ``all`` that leaves the route out there.

@@ -32,6 +32,10 @@ CRIT4 = critical_couplings(Multiplet(4))
 # is 2u/(beta*|slope gap|)
 TWO_U_STAR = 2.3993572805154716
 
+# the specific heat at a two-level remnant's peak, x**2 e**x / (1 + e**x)**2
+# at x = TWO_U_STAR: the same at every beta, N and e_gap
+C_TWO_LEVEL = TWO_U_STAR**2 * math.exp(TWO_U_STAR) / (1.0 + math.exp(TWO_U_STAR)) ** 2
+
 # C = beta**2 Var(E) as the engine rounds it is within EPS_C of itself
 # (about 450 ulp), and on the axis u = ln(beta) a two-level C near its
 # maximum is C_max * (1 - KAPPA * (u - u*)**2 / 2) with KAPPA = TWO_U_STAR**2 / 2
@@ -87,6 +91,18 @@ def test_specific_heat_peaks_in_beta_at_the_twin_peak_constant(n, delta):
         + pull
     )
     assert abs(math.log(beta * ds * delta / TWO_U_STAR)) <= tol
+
+
+@st.composite
+def _scans_past_the_last_crossing(draw):
+    """(n, e_gap, beta, window, grid points) of a peak scan reaching past the last crossing."""
+    n = draw(st.integers(2, 64))
+    e_gap = math.exp(draw(st.floats(math.log(0.1), math.log(10.0))))
+    beta = draw(st.floats(0.05, 400.0)) / e_gap
+    last = critical_couplings(Multiplet(n), e_gap)[-1].item()
+    lo = draw(st.floats(0.0, 1.5)) * last
+    hi = max(lo, last) + draw(st.floats(0.01, 1.0)) * last
+    return n, e_gap, beta, (lo, hi), draw(st.integers(16, 1024))
 
 
 class TestFindPeaks:
@@ -164,6 +180,31 @@ class TestFindPeaks:
         lams = peaks[:, LAM].tolist()
         assert abs((lams[0] + lams[1]) / 2.0 - 0.25) <= 1e-6
         assert abs((lams[2] + lams[3]) / 2.0 - 0.5) <= 1e-6
+
+    @given(_scans_past_the_last_crossing())
+    @example((5, 1.0, 70.0, (1.0, 1.3), 512))  # float noise past the last crossing
+    @example((4, 5.0, 31.0, (5 / 3, 23 / 3), 16))  # a peak far below another in its samples
+    @example((4096, 1.0, 110.0, (0.9, 1.2), 64))  # windowed, each point by its own reach
+    def test_every_refined_maximum_is_a_remnant_or_noise(self, scan):
+        # the floor's premise: with no floor, every refined maximum has the
+        # specific heat of a two-level remnant or more (to the golden
+        # search's resolution, far inside 1e-6), or is float noise far below it
+        n, e_gap, beta, window, points = scan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transitions, "_C_FLOOR", -math.inf)
+            peaks = find_peaks(analytic_spectrum(Multiplet(n), e_gap), beta, window, points)
+        c = peaks[:, BETA] ** 2 * peaks[:, HEIGHT]
+        assert ((c >= (1 - 1e-6) * C_TWO_LEVEL) | (c <= 1e-20)).all(), c.tolist()
+
+    def test_a_peak_lower_in_its_samples_than_another_is_kept(self):
+        # on 16 points the flank just right of lambda_c = 5/3 is far narrower
+        # than a cell, so its samples lie far below those of the flank right
+        # of lambda_c = 5; refined, both reach the two-level specific heat
+        s = analytic_spectrum(Multiplet(4), 5.0)
+        peaks = find_peaks(s, 31.0, (5 / 3, 23 / 3), 16)
+        assert peaks[:, LAM].tolist() == [1.6924662051442538, 5.077398622254947]
+        c = peaks[:, BETA] ** 2 * peaks[:, HEIGHT]
+        assert np.allclose(c, C_TWO_LEVEL, rtol=1e-9, atol=0.0)
 
     def test_refinement_never_calls_scalar_observables(self, monkeypatch):
         # the scan and every refinement probe go through observables_grid
@@ -329,7 +370,7 @@ def _one_search_per_peak(s, beta, window, grid_points):
     y = np.array([var_at(x) for x in grid])
     peaks = []
     for i in range(1, grid_points - 1):
-        if y[i - 1] < y[i] > y[i + 1] and y[i] > 1e-12 * y.max():
+        if y[i - 1] < y[i] > y[i + 1]:
             lo, hi = float(grid[i - 1]), float(grid[i + 1])
             lam = _golden_min_one(lambda x: -var_at(x), lo, hi, 1e-8)
             height = var_at(lam)
@@ -345,7 +386,8 @@ def _one_search_per_peak(s, beta, window, grid_points):
         else:
             deduped.append(pk)
         previous = pk[0]
-    return deduped
+    # and a peak is kept where its refined specific heat clears the floor
+    return [pk for pk in deduped if beta**2 * pk[1] >= transitions._C_FLOOR]
 
 
 def _tracked(s, schedule, window, grid_points, crit):
@@ -560,6 +602,15 @@ class TestDetectJumps:
         jumps = detect_jumps(s, (-1.25, 0.0))
         assert jumps.tolist() == [[-0.3333333333333334, 0.6, -0.3, 0.09999999999999999]]
 
+    def test_vertices_rounding_to_one_coupling_are_one_jump(self):
+        # three lines meet at 2/3, and the envelope's two vertices there round
+        # to the same float: one jump from the start level to the steepest,
+        # with the on-point value of all three
+        s = Spectrum([0.2, -0.4, -0.2], [-1.2, -0.3, -0.6])
+        jumps = detect_jumps(s, (-1.0, 1.0))
+        assert jumps[:, [JUMP, LEFT, RIGHT]].tolist() == [[0.6666666666666667, -0.3, -1.2]]
+        assert jumps[0, MID] == ground_level(s, jumps[0, JUMP])[1]
+
     def test_descending_levels_window_starts_on_crossing(self):
         # at the window's left end the walk starts on the shallower of the
         # two tied levels, whatever the level order
@@ -581,6 +632,26 @@ class TestDetectJumps:
         # crossing k lifts the ground label from M = -J + k - 1 to M = -J + k
         want = [(-m.j) ** 2 - m.j**2] + [(-m.j + k) ** 2 - m.j**2 for k in range(1, len(crit) + 1)]
         assert plateaus == want
+
+    @given(st.integers(2, 64), st.floats(math.log(1e-6), math.log(1e6)).map(math.exp))
+    @example(55, 1.15e4)  # near the largest distance measured, 28 ulp
+    def test_jumps_in_units_of_the_gap(self, n, e_gap):
+        # H(e_gap, lam) = e_gap * H(1, lam / e_gap): the same staircase, on
+        # couplings scaled by e_gap.  A vertex is (g*(M+1) - g*M) / ds, with
+        # g = e_gap and ds the exact slope gap, where each rounded intercept
+        # is within u*g*|M| (u = 2**-53) and |M| + |M+1| <= 2J - 1; the
+        # subtraction, the division and lam / e_gap here round once more
+        # each, the unit-gap vertex 1/ds once.  So lam / e_gap is within
+        # (2J + 3) u / ds of it, to first order in u, and an ulp of a float
+        # x exceeds u*x: N + 3 ulp, and one more for the second order
+        m = Multiplet(n)
+        unit = detect_jumps(analytic_spectrum(m), (0.0, 1.2 * critical_couplings(m)[-1]))
+        scaled = (0.0, 1.2 * critical_couplings(m, e_gap)[-1])
+        got = detect_jumps(analytic_spectrum(m, e_gap), scaled)
+        assert got.shape == unit.shape
+        assert got[:, LEFT:].tolist() == unit[:, LEFT:].tolist()
+        ulps = np.abs(got[:, JUMP] / e_gap - unit[:, JUMP]) / np.spacing(unit[:, JUMP])
+        assert (ulps <= n + 4).all(), ulps.max()
 
     @pytest.mark.parametrize("n", [8, 129, 1000])
     @pytest.mark.parametrize("e_gap", [1.0, 0.37])
